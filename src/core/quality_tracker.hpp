@@ -39,6 +39,8 @@ class QualityTracker
      * @param rng Stream for prior draws.
      */
     QualityTracker(const cloud::ProviderProfile& profile, sim::Rng rng);
+    /** The tracker keeps a reference: a temporary profile would dangle. */
+    QualityTracker(cloud::ProviderProfile&&, sim::Rng) = delete;
 
     /** Record an observed base-quality sample for @p type. */
     void record(const cloud::InstanceType& type, double quality);

@@ -1,10 +1,14 @@
 #include "exp/cli.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <utility>
 
 #include "exp/report_json.hpp"
 #include "obs/process_metrics.hpp"
@@ -68,6 +72,52 @@ parseU64(const char* arg, std::uint64_t& out)
     return true;
 }
 
+/** One record stream a bench can write as JSONL: its flag state, its
+ *  environment switch and its writer. */
+struct ArtifactStream
+{
+    const char* name; ///< "trace" / "timeline": flag and message stem
+    const char* env;  ///< HCLOUD_TRACE / HCLOUD_TIMELINE
+    bool requested;   ///< the flag was given (forces the stream on)
+    const std::string& flagPath;
+    bool (*write)(const std::string&, const Runner&, bool);
+
+    /** On by the flag or by the environment. */
+    bool on() const { return requested || obs::envSwitch(env).enabled; }
+
+    /** Where the merged JSONL goes: the flag's path or the environment's
+     *  named default; "" when the stream produces no file. */
+    std::string path() const
+    {
+        if (!on())
+            return "";
+        return flagPath.empty() ? obs::envSwitch(env).path : flagPath;
+    }
+};
+
+std::array<ArtifactStream, 2>
+artifactStreams(const BenchCli& cli)
+{
+    return {{
+        {"trace", obs::TraceConfig::kEnv, cli.traceRequested,
+         cli.tracePath, &writeTraceJsonl},
+        {"timeline", obs::TimelineConfig::kEnv, cli.timelineRequested,
+         cli.timelinePath, &writeTimelineJsonl},
+    }};
+}
+
+/** True when @p a and @p b name one file (up to ./ and ../ spelling). */
+bool
+samePath(const std::string& a, const std::string& b)
+{
+    std::error_code ec;
+    const std::filesystem::path na = std::filesystem::absolute(a, ec);
+    const std::filesystem::path nb = std::filesystem::absolute(b, ec);
+    if (ec)
+        return a == b;
+    return na.lexically_normal() == nb.lexically_normal();
+}
+
 /** Report a malformed positional: stderr + usage + BenchCli error state. */
 void
 positionalError(BenchCli& cli, const char* prog, const char* what,
@@ -85,61 +135,37 @@ core::EngineConfig
 BenchCli::engineConfig() const
 {
     core::EngineConfig cfg;
-    if (traceRequested)
-        cfg.trace.mode = obs::TraceConfig::Mode::On;
-    // When tracing will produce a file, stream each run through a TraceSink
-    // part file derived from this stem so the on-disk trace is complete
-    // even when a run records more events than the ring holds.
-    const bool tracing = traceRequested || obs::envTraceEnabled();
-    const std::string trace_path = effectiveTracePath();
-    if (tracing && !trace_path.empty())
-        cfg.trace.sinkStem = trace_path;
-    // CI knob: shrink (or grow) the ring without recompiling. Consumed
-    // here at the CLI edge only, so the library stays env-independent.
-    if (const char* ring = std::getenv("HCLOUD_TRACE_RING")) {
-        std::uint64_t capacity = 0;
-        if (parseU64(ring, capacity) && capacity > 0)
-            cfg.trace.ringCapacity = static_cast<std::size_t>(capacity);
+    obs::RecordStreamConfig* configs[] = {&cfg.trace, &cfg.timeline};
+    const std::array<ArtifactStream, 2> streams = artifactStreams(*this);
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        obs::RecordStreamConfig& stream = *configs[i];
+        if (streams[i].requested)
+            stream.mode = obs::RecordStreamConfig::Mode::On;
+        // When the stream will produce a file, each run streams through a
+        // sink part file derived from this stem, so the file is complete
+        // however far a run outgrows the ring.
+        stream.sinkStem = streams[i].path();
+        // HCLOUD_TRACE_RING / HCLOUD_TIMELINE_RING resize the ring (CI
+        // forces wraps with them). Consumed here at the CLI edge only, so
+        // the library stays env-independent.
+        const std::string ringVar = std::string(streams[i].env) + "_RING";
+        if (const char* ring = std::getenv(ringVar.c_str())) {
+            std::uint64_t capacity = 0;
+            if (parseU64(ring, capacity) && capacity > 0)
+                stream.ringCapacity = static_cast<std::size_t>(capacity);
+        }
     }
-    // Timeline sampling mirrors the trace wiring: the flag forces it on,
-    // a named path becomes the per-run sink stem, and the cadence/ring
-    // env knobs are consumed here at the CLI edge only.
-    if (timelineRequested)
-        cfg.timeline.mode = obs::TimelineConfig::Mode::On;
-    const bool sampling = timelineRequested || obs::envTimelineEnabled();
-    const std::string timeline_path = effectiveTimelinePath();
-    if (sampling && !timeline_path.empty())
-        cfg.timeline.sinkStem = timeline_path;
     cfg.timeline.cadence = obs::envTimelineCadence(cfg.timeline.cadence);
-    if (const char* ring = std::getenv("HCLOUD_TIMELINE_RING")) {
-        std::uint64_t capacity = 0;
-        if (parseU64(ring, capacity) && capacity > 0)
-            cfg.timeline.ringCapacity = static_cast<std::size_t>(capacity);
-    }
     return cfg;
 }
 
 bool
 BenchCli::wantsArtifacts() const
 {
-    return !jsonPath.empty() || traceRequested || obs::envTraceEnabled() ||
-        timelineRequested || obs::envTimelineEnabled();
-}
-
-std::string
-BenchCli::effectiveTracePath() const
-{
-    if (!tracePath.empty())
-        return tracePath;
-    return obs::envTracePath();
-}
-
-std::string
-BenchCli::effectiveTimelinePath() const
-{
-    if (!timelinePath.empty())
-        return timelinePath;
-    return obs::envTimelinePath();
+    const std::array<ArtifactStream, 2> streams = artifactStreams(*this);
+    return !jsonPath.empty() ||
+        std::any_of(streams.begin(), streams.end(),
+                    [](const ArtifactStream& s) { return s.on(); });
 }
 
 std::optional<std::uint16_t>
@@ -294,6 +320,29 @@ parseBenchCli(int argc, char** argv, bool allowSweep)
             }
         }
     }
+    // Two artifacts at one path would overwrite each other, and two
+    // streams would share their part files: refuse before any work.
+    std::vector<std::pair<std::string, std::string>> outputs;
+    if (!cli.jsonPath.empty())
+        outputs.emplace_back("json", cli.jsonPath);
+    for (const ArtifactStream& stream : artifactStreams(cli)) {
+        if (!stream.path().empty())
+            outputs.emplace_back(stream.name, stream.path());
+    }
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+        for (std::size_t j = i + 1; j < outputs.size(); ++j) {
+            if (!samePath(outputs[i].second, outputs[j].second))
+                continue;
+            cli.errorMessage = outputs[i].first + " and " +
+                outputs[j].first + " outputs share the path '" +
+                outputs[j].second + "'";
+            std::fprintf(stderr, "%s: %s\n", argv[0],
+                         cli.errorMessage.c_str());
+            printUsage(argv[0], allowSweep);
+            cli.parseError = true;
+            return cli;
+        }
+    }
     return cli;
 }
 
@@ -312,28 +361,15 @@ writeBenchArtifacts(const BenchCli& cli, const std::string& title,
             ok = false;
         }
     }
-    const std::string trace_path = cli.effectiveTracePath();
-    const bool tracing = cli.traceRequested || obs::envTraceEnabled();
-    if (tracing && !trace_path.empty()) {
-        if (writeTraceJsonl(trace_path, runner, /*removeParts=*/true)) {
-            std::printf("wrote trace JSONL: %s\n", trace_path.c_str());
+    for (const ArtifactStream& stream : artifactStreams(cli)) {
+        const std::string path = stream.path();
+        if (path.empty())
+            continue;
+        if (stream.write(path, runner, /*removeParts=*/true)) {
+            std::printf("wrote %s JSONL: %s\n", stream.name, path.c_str());
         } else {
-            std::fprintf(stderr, "failed to write trace JSONL: %s\n",
-                         trace_path.c_str());
-            ok = false;
-        }
-    }
-    const std::string timeline_path = cli.effectiveTimelinePath();
-    const bool sampling =
-        cli.timelineRequested || obs::envTimelineEnabled();
-    if (sampling && !timeline_path.empty()) {
-        if (writeTimelineJsonl(timeline_path, runner,
-                               /*removeParts=*/true)) {
-            std::printf("wrote timeline JSONL: %s\n",
-                        timeline_path.c_str());
-        } else {
-            std::fprintf(stderr, "failed to write timeline JSONL: %s\n",
-                         timeline_path.c_str());
+            std::fprintf(stderr, "failed to write %s JSONL: %s\n",
+                         stream.name, path.c_str());
             ok = false;
         }
     }

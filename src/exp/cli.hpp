@@ -43,7 +43,9 @@
  *
  * Positional values are validated strictly (full-token numeric parses
  * with range checks); a bad value sets BenchCli::parseError and
- * errorMessage instead of silently running with a zeroed option.
+ * errorMessage instead of silently running with a zeroed option. So do
+ * two of the json, trace and timeline outputs naming one file, whether
+ * the path came from a flag or from HCLOUD_TRACE / HCLOUD_TIMELINE.
  */
 
 #ifndef HCLOUD_EXP_CLI_HPP
@@ -92,24 +94,17 @@ struct BenchCli
      *  also printed to stderr by parseBenchCli. */
     std::string errorMessage;
 
-    /** Engine config with the trace mode implied by the flags, the sink
-     *  stem implied by the effective trace path, and the ring override
-     *  from HCLOUD_TRACE_RING. */
+    /** Engine config with the trace and timeline modes implied by the
+     *  flags, each stream's sink stem implied by its effective output
+     *  path (the flag's, or the one HCLOUD_TRACE / HCLOUD_TIMELINE
+     *  names), and the HCLOUD_*_RING / HCLOUD_TIMELINE_CADENCE
+     *  overrides. */
     core::EngineConfig engineConfig() const;
 
     /** True when any artifact will be written — benches use this to turn
      *  on ad-hoc result recording (Runner::setRecordAdhoc) so uncached
      *  sweep runs show up in the report too. */
     bool wantsArtifacts() const;
-
-    /** Effective trace output path: --trace value or the HCLOUD_TRACE
-     *  named default; empty when tracing produces no file. */
-    std::string effectiveTracePath() const;
-
-    /** Effective timeline output path: --timeline value or the
-     *  HCLOUD_TIMELINE named default; empty when sampling produces no
-     *  file. */
-    std::string effectiveTimelinePath() const;
 
     /**
      * Port to serve live metrics on, if any: the --metrics-port value
@@ -145,8 +140,9 @@ BenchCli parseBenchCli(int argc, char** argv, bool allowSweep = false);
 /**
  * Write the artifacts requested by @p cli from @p runner's memoized
  * matrix: the JSON report (--json, with @p sweeps serialized into the
- * schema-v4 `sweeps` array) and the trace JSONL (--trace or the
- * HCLOUD_TRACE named path). Prints one line per file written.
+ * schema-v4 `sweeps` array), the trace JSONL (--trace or the
+ * HCLOUD_TRACE named path) and the timeline JSONL (--timeline or the
+ * HCLOUD_TIMELINE named path). Prints one line per file written.
  * @return false when any requested artifact failed to write.
  */
 bool writeBenchArtifacts(const BenchCli& cli, const std::string& title,

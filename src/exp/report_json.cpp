@@ -31,42 +31,6 @@ sampleSetJson(obs::JsonWriter& w, std::string_view name,
     w.endObject();
 }
 
-/** Deterministic header line identifying one cell in a trace JSONL. */
-std::string
-runHeaderLine(const core::RunResult& result)
-{
-    obs::JsonWriter w;
-    w.beginObject();
-    w.key("run");
-    w.beginObject();
-    w.field("strategy", result.strategy);
-    w.field("scenario", result.scenario);
-    w.field("profiling", result.profiling);
-    w.field("events", result.trace.recorded);
-    w.field("dropped", result.trace.dropped);
-    w.endObject();
-    w.endObject();
-    return w.take();
-}
-
-/** Deterministic header line identifying one cell in a timeline JSONL. */
-std::string
-timelineHeaderLine(const core::RunResult& result)
-{
-    obs::JsonWriter w;
-    w.beginObject();
-    w.key("run");
-    w.beginObject();
-    w.field("strategy", result.strategy);
-    w.field("scenario", result.scenario);
-    w.field("profiling", result.profiling);
-    w.field("samples", result.timeline.recorded);
-    w.field("dropped", result.timeline.dropped);
-    w.endObject();
-    w.endObject();
-    return w.take();
-}
-
 /** Splice one sink part file into @p out; optionally delete it after. */
 bool
 splicePart(std::ostream& out, const std::string& partPath,
@@ -88,34 +52,49 @@ splicePart(std::ostream& out, const std::string& partPath,
 }
 
 /**
- * Append one run's trace stream to @p out: spliced from its sink part
- * file when the run streamed to disk, serialized from memory otherwise.
+ * Write one record stream of every memoized cell to @p path: a
+ * `{"run":{...}}` header line per cell (its record count under
+ * @p countKey), then the run's records, spliced from its sink part file
+ * when the run streamed to disk and serialized from memory otherwise.
  */
+template <typename Buffer>
 bool
-appendRunTrace(std::ostream& out, const core::RunResult& result,
-               bool removeParts)
+writeStreamJsonl(const std::string& path, const Runner& runner,
+                 bool removeParts, std::string_view countKey,
+                 Buffer core::RunResult::*stream)
 {
-    if (!result.trace.sinkOk)
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
         return false;
-    if (result.trace.sinkPath.empty()) {
-        obs::writeJsonl(out, result.trace);
-        return static_cast<bool>(out);
+    bool ok = true;
+    auto append = [&](const core::RunResult& result) {
+        const Buffer& buffer = result.*stream;
+        obs::JsonWriter w;
+        w.beginObject();
+        w.key("run");
+        w.beginObject();
+        w.field("strategy", result.strategy);
+        w.field("scenario", result.scenario);
+        w.field("profiling", result.profiling);
+        w.field(countKey, buffer.recorded);
+        w.field("dropped", buffer.dropped);
+        w.endObject();
+        w.endObject();
+        out << w.str() << '\n';
+        if (!buffer.sinkOk)
+            ok = false;
+        else if (buffer.sinkPath.empty())
+            obs::writeJsonl(out, buffer);
+        else
+            ok = splicePart(out, buffer.sinkPath, removeParts) && ok;
+    };
+    for (const auto& [key, result] : runner.results()) {
+        (void)key;
+        append(result);
     }
-    return splicePart(out, result.trace.sinkPath, removeParts);
-}
-
-/** Timeline analogue of appendRunTrace, same splice contract. */
-bool
-appendRunTimeline(std::ostream& out, const core::RunResult& result,
-                  bool removeParts)
-{
-    if (!result.timeline.sinkOk)
-        return false;
-    if (result.timeline.sinkPath.empty()) {
-        obs::writeJsonl(out, result.timeline);
-        return static_cast<bool>(out);
-    }
-    return splicePart(out, result.timeline.sinkPath, removeParts);
+    for (const core::RunResult& result : runner.adhocResults())
+        append(result);
+    return ok && static_cast<bool>(out);
 }
 
 } // namespace
@@ -159,7 +138,7 @@ runResultJson(obs::JsonWriter& w, const core::RunResult& result)
     w.field("recorded", result.trace.recorded);
     w.field("dropped", result.trace.dropped);
     w.field("retained",
-            static_cast<std::uint64_t>(result.trace.events.size()));
+            static_cast<std::uint64_t>(result.trace.records.size()));
     w.endObject();
 
     w.key("timeline");
@@ -168,10 +147,10 @@ runResultJson(obs::JsonWriter& w, const core::RunResult& result)
     w.field("recorded", result.timeline.recorded);
     w.field("dropped", result.timeline.dropped);
     w.field("retained",
-            static_cast<std::uint64_t>(result.timeline.samples.size()));
+            static_cast<std::uint64_t>(result.timeline.records.size()));
     w.key("samples");
     w.beginArray();
-    for (const obs::TimelineSample& s : result.timeline.samples) {
+    for (const obs::TimelineSample& s : result.timeline.records) {
         w.beginObject();
         obs::timelineSampleJson(w, s);
         w.endObject();
@@ -249,40 +228,16 @@ bool
 writeTraceJsonl(const std::string& path, const Runner& runner,
                 bool removeParts)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    bool ok = true;
-    for (const auto& [key, result] : runner.results()) {
-        (void)key;
-        out << runHeaderLine(result) << '\n';
-        ok = appendRunTrace(out, result, removeParts) && ok;
-    }
-    for (const core::RunResult& result : runner.adhocResults()) {
-        out << runHeaderLine(result) << '\n';
-        ok = appendRunTrace(out, result, removeParts) && ok;
-    }
-    return ok && static_cast<bool>(out);
+    return writeStreamJsonl(path, runner, removeParts, "events",
+                            &core::RunResult::trace);
 }
 
 bool
 writeTimelineJsonl(const std::string& path, const Runner& runner,
                    bool removeParts)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    bool ok = true;
-    for (const auto& [key, result] : runner.results()) {
-        (void)key;
-        out << timelineHeaderLine(result) << '\n';
-        ok = appendRunTimeline(out, result, removeParts) && ok;
-    }
-    for (const core::RunResult& result : runner.adhocResults()) {
-        out << timelineHeaderLine(result) << '\n';
-        ok = appendRunTimeline(out, result, removeParts) && ok;
-    }
-    return ok && static_cast<bool>(out);
+    return writeStreamJsonl(path, runner, removeParts, "samples",
+                            &core::RunResult::timeline);
 }
 
 } // namespace hcloud::exp

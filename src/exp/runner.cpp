@@ -142,8 +142,8 @@ Runner::cellSinkTag(workload::ScenarioKind scenario,
 void
 Runner::applySinkTag(core::EngineConfig& cfg, const std::string& tag)
 {
-    // Trace and timeline stems must differ (the CLI derives them from
-    // distinct output paths), so the per-run part files never collide.
+    // Trace and timeline stems must differ (parseBenchCli refuses equal
+    // output paths), so the per-run part files never collide.
     if (!cfg.trace.sinkStem.empty())
         cfg.trace.sinkPath = cfg.trace.sinkStem + "." + tag + ".part";
     if (!cfg.timeline.sinkStem.empty())

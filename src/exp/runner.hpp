@@ -18,14 +18,17 @@
  * what makes the parallel runtime (runtime::ParallelRunner) bit-identical
  * to serial execution.
  *
- * ## Streaming trace sinks
+ * ## Streaming record sinks
  *
- * When the base config's TraceConfig carries a `sinkStem`, every run a
- * runner executes derives a private sink file ("<stem>.<tag>.part") so
- * concurrent runs never share a file descriptor and on-disk traces are
- * never ring-truncated. exp::writeTraceJsonl merges the per-run files in
- * deterministic result order, which keeps the merged artifact
- * byte-identical across thread counts. Tags: matrix cells use
+ * When the base config's TraceConfig or TimelineConfig carries a
+ * `sinkStem`, every run a runner executes derives a private sink file
+ * per stream ("<stem>.<tag>.part"), so concurrent runs never share a
+ * file descriptor and on-disk streams are never ring-truncated (the
+ * obs::RecordStream contract). exp::writeTraceJsonl and
+ * exp::writeTimelineJsonl merge the per-run files in deterministic
+ * result order, which keeps each merged artifact byte-identical across
+ * thread counts. The two stems must differ (the bench CLI refuses equal
+ * output paths). Tags: matrix cells use
  * "<scenario>-<strategy>[-unprofiled]"; batch/ad-hoc runs use a per-runner
  * sequence number (their identity lives in the merged header lines, not
  * the file name).

@@ -1,5 +1,6 @@
 #include "obs/trace_sink.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -7,7 +8,6 @@
 #include <unistd.h>
 
 #include "obs/process_metrics.hpp"
-#include "obs/tracer.hpp"
 
 namespace hcloud::obs {
 
@@ -32,23 +32,15 @@ TraceSink::~TraceSink()
 }
 
 bool
-TraceSink::append(const TraceEvent& event)
-{
-    if (!ok())
-        return false;
-    return appendLine(toJson(event));
-}
-
-bool
 TraceSink::appendLine(std::string_view line)
 {
-    if (!ok())
+    // Drain before taking the line, so a false return means the line
+    // was not taken.
+    if (!ok() || (buffer_.size() >= kDrainThreshold && !drain()))
         return false;
     buffer_ += line;
     buffer_ += '\n';
     ++written_;
-    if (buffer_.size() >= kDrainThreshold)
-        return drain();
     return true;
 }
 
@@ -63,7 +55,8 @@ TraceSink::flush()
 bool
 TraceSink::drain()
 {
-    const char* data = buffer_.data();
+    const char* const begin = buffer_.data();
+    const char* data = begin;
     std::size_t remaining = buffer_.size();
     while (remaining > 0) {
         const ssize_t n = ::write(fd_, data, remaining);
@@ -71,6 +64,9 @@ TraceSink::drain()
             if (errno == EINTR)
                 continue;
             failed_ = true;
+            // Lines wholly written before the error reached the file.
+            flushed_ += static_cast<std::uint64_t>(
+                std::count(begin, data, '\n'));
             ProcessMetrics::instance()
                 .counter("hcloud_trace_sink_failures_total",
                          "Trace sink drains aborted by a write error")
@@ -86,6 +82,7 @@ TraceSink::drain()
                      "Bytes of trace JSONL written to streaming sinks")
             .inc(static_cast<double>(buffer_.size()));
     buffer_.clear();
+    flushed_ = written_;
     return true;
 }
 

@@ -1,23 +1,21 @@
 /**
  * @file
- * TraceSink: incremental, fd-backed JSONL persistence for trace events.
+ * TraceSink: incremental, fd-backed JSONL line sink.
  *
- * The sink exists so traces of long runs are bounded only by disk, never
- * by the tracer's ringCapacity: the owning obs::Tracer drains its ring
- * into the sink whenever the ring would wrap (and once more at take()),
- * so `dropped` stays 0 for the whole run while in-memory cost stays at
- * ringCapacity events.
+ * The sink exists so record streams of long runs are bounded only by
+ * disk, never by a ring: obs::RecordStream drains its ring into the sink
+ * whenever the ring would wrap (and once more at take()), and the span
+ * tracer streams its lines through it directly. The sink knows nothing
+ * of the line format; callers hand it serialized JSON.
  *
  * Contracts:
- *  - one sink file per run (the tracer that opens it is single-threaded,
- *    so the sink needs no locking);
- *  - append() serializes with toJson(), whose deterministic number
- *    formatting keeps sink files byte-identical across thread counts for
- *    a fixed seed;
- *  - writes are buffered in memory and pushed through the file
+ *  - one sink file per owner (a run's stream is single-threaded; the
+ *    span tracer serializes appends under its own mutex), so the sink
+ *    needs no locking;
+ *  - lines are buffered in memory and pushed through the file
  *    descriptor in large chunks; any short write or I/O error latches
- *    ok() to false, after which the tracer falls back to plain
- *    ring-eviction semantics (and reports the failure in TraceBuffer).
+ *    ok() to false. Lines still buffered at that point are lost, which
+ *    the written()/flushedLines() pair makes countable.
  */
 
 #ifndef HCLOUD_OBS_TRACE_SINK_HPP
@@ -27,11 +25,9 @@
 #include <string>
 #include <string_view>
 
-#include "obs/trace_event.hpp"
-
 namespace hcloud::obs {
 
-/** Streams TraceEvents to a JSONL file, one line per event. */
+/** Streams JSONL lines to a file. */
 class TraceSink
 {
   public:
@@ -46,20 +42,20 @@ class TraceSink
     bool ok() const { return fd_ >= 0 && !failed_; }
     const std::string& path() const { return path_; }
 
-    /** Serialize @p event and buffer it for writing.
-     *  @return false when the sink is (or just became) broken. */
-    bool append(const TraceEvent& event);
-
-    /** Buffer one pre-serialized JSONL line (no trailing newline —
-     *  the sink adds it). The span tracer streams through this seam.
-     *  @return false when the sink is (or just became) broken. */
+    /** Buffer one serialized JSONL line (no trailing newline — the sink
+     *  adds it).
+     *  @return false when the sink is (or just became) broken; the line
+     *  was then not taken. */
     bool appendLine(std::string_view line);
 
     /** Drain the in-memory buffer through the descriptor. */
     bool flush();
 
-    /** Events successfully handed to append(). */
+    /** Lines taken by appendLine(). */
     std::uint64_t written() const { return written_; }
+
+    /** Lines that reached the file descriptor (<= written()). */
+    std::uint64_t flushedLines() const { return flushed_; }
 
   private:
     bool drain();
@@ -68,6 +64,7 @@ class TraceSink
     int fd_ = -1;
     std::string buffer_;
     std::uint64_t written_ = 0;
+    std::uint64_t flushed_ = 0;
     bool failed_ = false;
 };
 

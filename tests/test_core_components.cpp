@@ -169,7 +169,8 @@ TEST(QueueEstimator, MeasuredWaitsRecorded)
 
 TEST(QualityTracker, PriorsThenObservations)
 {
-    QualityTracker tracker(cloud::ProviderProfile::gce(), sim::Rng(3));
+    const cloud::ProviderProfile profile = cloud::ProviderProfile::gce();
+    QualityTracker tracker(profile, sim::Rng(3));
     // Priors alone give a sensible per-size ordering.
     const double small = tracker.qualityAtConfidence(typeNamed("st1"));
     const double large = tracker.qualityAtConfidence(typeNamed("st16"));
@@ -184,7 +185,8 @@ TEST(QualityTracker, PriorsThenObservations)
 
 TEST(QualityTracker, TighterConfidenceReportsLowerQuality)
 {
-    QualityTracker tracker(cloud::ProviderProfile::gce(), sim::Rng(3));
+    const cloud::ProviderProfile profile = cloud::ProviderProfile::gce();
+    QualityTracker tracker(profile, sim::Rng(3));
     const auto& st4 = typeNamed("st4");
     EXPECT_LE(tracker.qualityAtConfidence(st4, 0.99),
               tracker.qualityAtConfidence(st4, 0.90));

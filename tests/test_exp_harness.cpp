@@ -200,6 +200,61 @@ TEST(BenchCliParse, EngineConfigWiresSinkStemAndRingOverride)
         ::setenv("HCLOUD_TRACE_RING", saved_value.c_str(), 1);
 }
 
+TEST(BenchCliParse, CollidingArtifactPathsAreRejectedBeforeAnyWork)
+{
+    const char* saved_trace = std::getenv("HCLOUD_TRACE");
+    const std::string saved_trace_value = saved_trace ? saved_trace : "";
+    const char* saved_timeline = std::getenv("HCLOUD_TIMELINE");
+    const std::string saved_timeline_value =
+        saved_timeline ? saved_timeline : "";
+    ::unsetenv("HCLOUD_TRACE");
+    ::unsetenv("HCLOUD_TIMELINE");
+
+    // Both streams would share their .part files and the merged file.
+    const BenchCli streams = parseArgs({"0.1", "42", "2", "--trace",
+                                        "same.jsonl", "--timeline",
+                                        "same.jsonl"});
+    EXPECT_TRUE(streams.parseError);
+    EXPECT_EQ(streams.errorMessage,
+              "trace and timeline outputs share the path 'same.jsonl'");
+
+    // The trace would overwrite the JSON report, spelled differently.
+    const BenchCli report =
+        parseArgs({"--json", "j.jsonl", "--trace", "./j.jsonl"});
+    EXPECT_TRUE(report.parseError);
+    EXPECT_EQ(report.errorMessage,
+              "json and trace outputs share the path './j.jsonl'");
+
+    // Paths named by the environment count too.
+    ::setenv("HCLOUD_TIMELINE", "env.jsonl", 1);
+    const BenchCli fromEnv = parseArgs({"--json", "env.jsonl"});
+    EXPECT_TRUE(fromEnv.parseError);
+    EXPECT_EQ(fromEnv.errorMessage,
+              "json and timeline outputs share the path 'env.jsonl'");
+    ::setenv("HCLOUD_TRACE", "env.jsonl", 1);
+    const BenchCli bothEnv = parseArgs({"0.25"});
+    EXPECT_TRUE(bothEnv.parseError);
+    EXPECT_EQ(bothEnv.errorMessage,
+              "trace and timeline outputs share the path 'env.jsonl'");
+
+    // A flag replaces the environment's path, and distinct paths pass.
+    const BenchCli distinct =
+        parseArgs({"--json", "r.json", "--trace", "t.jsonl"});
+    EXPECT_FALSE(distinct.parseError) << distinct.errorMessage;
+    ::setenv("HCLOUD_TRACE", "1", 1);
+    const BenchCli boolean = parseArgs({"--json", "r.json"});
+    EXPECT_FALSE(boolean.parseError) << boolean.errorMessage;
+
+    if (saved_trace)
+        ::setenv("HCLOUD_TRACE", saved_trace_value.c_str(), 1);
+    else
+        ::unsetenv("HCLOUD_TRACE");
+    if (saved_timeline)
+        ::setenv("HCLOUD_TIMELINE", saved_timeline_value.c_str(), 1);
+    else
+        ::unsetenv("HCLOUD_TIMELINE");
+}
+
 // ---------------------------------------------------------------------------
 // Figure-table semantics
 

@@ -213,7 +213,7 @@ TEST(EngineRunReset, ResetRunIsBitIdenticalToFreshEngine)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]) << "digest[" << i << "]";
-    ASSERT_EQ(viaReset.trace.events.size(), direct.trace.events.size());
+    ASSERT_EQ(viaReset.trace.records.size(), direct.trace.records.size());
 }
 
 TEST(EngineRunReset, BackToBackResetsStayIdentical)

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/engine.hpp"
 #include "core/mapping_policy.hpp"
 #include "exp/report_json.hpp"
@@ -131,7 +133,7 @@ TEST(ObsTracer, DisabledTracerIsANoOp)
     direct.kind = obs::EventKind::JobFinish;
     tracer.record(direct);
     EXPECT_EQ(tracer.recordedCount(), 0u);
-    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_TRUE(tracer.take().records.empty());
 }
 
 TEST(ObsTracer, RingOverflowDropsOldestKeepsChronology)
@@ -146,14 +148,14 @@ TEST(ObsTracer, RingOverflowDropsOldestKeepsChronology)
     EXPECT_EQ(tracer.recordedCount(), 10u);
     EXPECT_EQ(tracer.droppedCount(), 6u);
     const obs::TraceBuffer buffer = tracer.take();
-    ASSERT_EQ(buffer.events.size(), 4u);
+    ASSERT_EQ(buffer.records.size(), 4u);
     EXPECT_EQ(buffer.recorded, 10u);
     EXPECT_EQ(buffer.dropped, 6u);
     // The newest four survive, in chronological order.
     for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(buffer.events[i].time, static_cast<double>(6 + i));
+        EXPECT_EQ(buffer.records[i].time, static_cast<double>(6 + i));
     // take() leaves the tracer empty but still enabled.
-    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_TRUE(tracer.take().records.empty());
     EXPECT_TRUE(tracer.enabled());
 }
 
@@ -172,9 +174,10 @@ TEST(ObsTracer, SeverityAndCategoryFiltersApply)
     tracer.controller(obs::EventKind::SoftLimitUpdate, 4.0, 0.7,
                       {}, obs::Severity::Info); // masked out
     tracer.decision(5.0, obs::DecisionReason::SoftLimitExceeded, 1); // kept
-    ASSERT_EQ(tracer.events().size(), 2u);
-    EXPECT_EQ(tracer.events()[0].kind, obs::EventKind::JobSubmit);
-    EXPECT_EQ(tracer.events()[1].kind, obs::EventKind::Decision);
+    const obs::TraceBuffer kept = tracer.take();
+    ASSERT_EQ(kept.records.size(), 2u);
+    EXPECT_EQ(kept.records[0].kind, obs::EventKind::JobSubmit);
+    EXPECT_EQ(kept.records[1].kind, obs::EventKind::Decision);
 }
 
 TEST(ObsTracer, EnvKnobMirrorsHcloudThreadsConventions)
@@ -183,25 +186,25 @@ TEST(ObsTracer, EnvKnobMirrorsHcloudThreadsConventions)
     const std::string saved_value = saved ? saved : "";
 
     ::setenv("HCLOUD_TRACE", "0", 1);
-    EXPECT_FALSE(obs::envTraceEnabled());
-    EXPECT_EQ(obs::envTracePath(), "");
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TRACE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TRACE").path, "");
     obs::TraceConfig cfg; // Mode::Auto
     EXPECT_FALSE(cfg.resolveEnabled());
 
     ::setenv("HCLOUD_TRACE", "1", 1);
-    EXPECT_TRUE(obs::envTraceEnabled());
-    EXPECT_EQ(obs::envTracePath(), "");
+    EXPECT_TRUE(obs::envSwitch("HCLOUD_TRACE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TRACE").path, "");
     EXPECT_TRUE(cfg.resolveEnabled());
 
     ::setenv("HCLOUD_TRACE", "off", 1);
-    EXPECT_FALSE(obs::envTraceEnabled());
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TRACE").enabled);
 
     ::setenv("HCLOUD_TRACE", "/tmp/run.jsonl", 1);
-    EXPECT_TRUE(obs::envTraceEnabled());
-    EXPECT_EQ(obs::envTracePath(), "/tmp/run.jsonl");
+    EXPECT_TRUE(obs::envSwitch("HCLOUD_TRACE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TRACE").path, "/tmp/run.jsonl");
 
     ::unsetenv("HCLOUD_TRACE");
-    EXPECT_FALSE(obs::envTraceEnabled());
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TRACE").enabled);
     // Explicit modes ignore the environment either way.
     cfg.mode = obs::TraceConfig::Mode::On;
     EXPECT_TRUE(cfg.resolveEnabled());
@@ -327,7 +330,7 @@ TEST(ObsTraceSink, SinkKeepsCompleteStreamPastRingCapacity)
     EXPECT_TRUE(buffer.sinkOk);
     EXPECT_EQ(buffer.sinkPath, path);
     EXPECT_EQ(buffer.flushed, 100u);
-    EXPECT_TRUE(buffer.events.empty())
+    EXPECT_TRUE(buffer.records.empty())
         << "a sink-backed buffer advertises the file, not ring leftovers";
 
     // The file holds every event, in record order, parseable.
@@ -362,8 +365,33 @@ TEST(ObsTraceSink, UnopenableSinkFallsBackToBoundedRing)
     EXPECT_TRUE(buffer.sinkPath.empty());
     EXPECT_EQ(buffer.recorded, 10u);
     EXPECT_EQ(buffer.dropped, 6u);
-    ASSERT_EQ(buffer.events.size(), 4u);
-    EXPECT_EQ(buffer.events.front().time, 6.0);
+    ASSERT_EQ(buffer.records.size(), 4u);
+    EXPECT_EQ(buffer.records.front().time, 6.0);
+}
+
+TEST(ObsTraceSink, FailedWritesKeepCountsWhole)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not available";
+    obs::TraceConfig cfg;
+    cfg.mode = obs::TraceConfig::Mode::On;
+    cfg.ringCapacity = 8;
+    cfg.sinkPath = "/dev/full"; // opens fine, every write fails
+    obs::Tracer tracer(cfg);
+    ASSERT_NE(tracer.sink(), nullptr);
+    for (int i = 0; i < 5000; ++i)
+        tracer.job(obs::EventKind::JobSubmit, static_cast<double>(i),
+                   static_cast<sim::JobId>(i + 1));
+    const obs::TraceBuffer buffer = tracer.take();
+    EXPECT_FALSE(buffer.sinkOk);
+    EXPECT_TRUE(buffer.sinkPath.empty());
+    EXPECT_EQ(buffer.recorded, 5000u);
+    EXPECT_EQ(buffer.flushed, 0u) << "no line reached the descriptor";
+    ASSERT_EQ(buffer.records.size(), 8u);
+    EXPECT_EQ(buffer.records.back().time, 4999.0);
+    // Lines lost in the sink's unwritten buffer are counted as dropped.
+    EXPECT_EQ(buffer.recorded,
+              buffer.records.size() + buffer.dropped + buffer.flushed);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +549,7 @@ std::size_t
 countKind(const obs::TraceBuffer& trace, obs::EventKind kind)
 {
     std::size_t n = 0;
-    for (const obs::TraceEvent& e : trace.events)
+    for (const obs::TraceEvent& e : trace.records)
         if (e.kind == kind)
             ++n;
     return n;
@@ -531,7 +559,7 @@ std::size_t
 countReason(const obs::TraceBuffer& trace, obs::DecisionReason reason)
 {
     std::size_t n = 0;
-    for (const obs::TraceEvent& e : trace.events)
+    for (const obs::TraceEvent& e : trace.records)
         if (e.reason == reason)
             ++n;
     return n;
@@ -566,7 +594,7 @@ TEST(ObsEngineTrace, EventStreamAgreesWithRunCounters)
     EXPECT_GE(countKind(r.trace, obs::EventKind::Decision), r.jobCount);
 
     // Decision events always carry a reason.
-    for (const obs::TraceEvent& e : r.trace.events) {
+    for (const obs::TraceEvent& e : r.trace.records) {
         if (e.kind == obs::EventKind::Decision) {
             EXPECT_NE(e.reason, obs::DecisionReason::None)
                 << "decision at t=" << e.time << " missing its reason";
@@ -599,9 +627,9 @@ TEST(ObsEngineTrace, TracingDoesNotPerturbTheSimulation)
         tracedRun(core::StrategyKind::HM,
                   workload::ScenarioKind::HighVariability,
                   obs::TraceConfig::Mode::On);
-    EXPECT_TRUE(off.trace.events.empty());
+    EXPECT_TRUE(off.trace.records.empty());
     EXPECT_EQ(off.trace.recorded, 0u);
-    EXPECT_FALSE(on.trace.events.empty());
+    EXPECT_FALSE(on.trace.records.empty());
     // Bit-identical simulation either way.
     EXPECT_EQ(off.makespan, on.makespan);
     EXPECT_EQ(off.meanPerfNorm(), on.meanPerfNorm());

@@ -254,13 +254,14 @@ TEST(TraceEventTraceId, StampedByActiveTraceAndRoundTrips)
     tracer.decision(2.0, obs::DecisionReason::BelowSoftLimit, 6, 0, 0.5,
                     "st16");
 
-    ASSERT_EQ(tracer.events().size(), 2u);
-    EXPECT_EQ(tracer.events()[0].trace, 99u);
-    EXPECT_EQ(tracer.events()[1].trace, 0u);
+    const obs::TraceBuffer buffer = tracer.take();
+    ASSERT_EQ(buffer.records.size(), 2u);
+    EXPECT_EQ(buffer.records[0].trace, 99u);
+    EXPECT_EQ(buffer.records[1].trace, 0u);
 
     // JSONL: trace emitted only when nonzero, and parsed back.
-    const std::string withTrace = obs::toJson(tracer.events()[0]);
-    const std::string without = obs::toJson(tracer.events()[1]);
+    const std::string withTrace = obs::toJson(buffer.records[0]);
+    const std::string without = obs::toJson(buffer.records[1]);
     EXPECT_NE(withTrace.find("\"trace\":99"), std::string::npos);
     EXPECT_EQ(without.find("\"trace\""), std::string::npos);
     obs::TraceEvent parsed;

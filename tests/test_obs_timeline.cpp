@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/engine.hpp"
 #include "exp/report_json.hpp"
 #include "exp/runner.hpp"
@@ -68,7 +70,7 @@ TEST(Timeline, DisabledRecordIsNoOp)
     EXPECT_FALSE(timeline.enabled());
     timeline.record(makeSample(0));
     EXPECT_EQ(timeline.recordedCount(), 0u);
-    EXPECT_TRUE(timeline.samples().empty());
+    EXPECT_TRUE(timeline.take().records.empty());
     obs::TimelineSample out;
     EXPECT_FALSE(timeline.latest(&out));
 }
@@ -137,14 +139,14 @@ TEST(Timeline, SnapshotIsNonDestructive)
         timeline.record(makeSample(i));
     const obs::TimelineBuffer snap = timeline.snapshot();
     EXPECT_EQ(snap.recorded, 5u);
-    ASSERT_EQ(snap.samples.size(), 5u);
-    EXPECT_EQ(snap.samples.front().seq, 0u);
+    ASSERT_EQ(snap.records.size(), 5u);
+    EXPECT_EQ(snap.records.front().seq, 0u);
     // The timeline keeps recording after a snapshot.
     timeline.record(makeSample(5));
     EXPECT_EQ(timeline.recordedCount(), 6u);
     const obs::TimelineBuffer taken = timeline.take();
     EXPECT_EQ(taken.recorded, 6u);
-    EXPECT_EQ(taken.samples.size(), 6u);
+    EXPECT_EQ(taken.records.size(), 6u);
     EXPECT_EQ(timeline.recordedCount(), 0u);
 }
 
@@ -168,7 +170,7 @@ TEST(TimelineSink, TinyRingStreamsCompleteFile)
     EXPECT_EQ(buffer.dropped, 0u) << "sink-backed timelines never evict";
     EXPECT_EQ(buffer.flushed, 21u);
     EXPECT_EQ(buffer.sinkPath, path);
-    EXPECT_TRUE(buffer.samples.empty())
+    EXPECT_TRUE(buffer.records.empty())
         << "the stream lives in the file, not the buffer";
 
     std::ifstream in(path, std::ios::binary);
@@ -197,9 +199,36 @@ TEST(TimelineSink, OpenFailureFallsBackToRing)
     const obs::TimelineBuffer buffer = timeline.take();
     EXPECT_FALSE(buffer.sinkOk);
     EXPECT_EQ(buffer.recorded, 10u);
-    EXPECT_EQ(buffer.samples.size(), 4u)
+    EXPECT_EQ(buffer.records.size(), 4u)
         << "fallback keeps the ring-bounded tail";
     EXPECT_EQ(buffer.dropped, 6u);
+}
+
+TEST(TimelineSink, FailedWritesKeepCountsWhole)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not available";
+    obs::TimelineConfig cfg;
+    cfg.mode = obs::TimelineConfig::Mode::On;
+    cfg.ringCapacity = 8;
+    cfg.sinkPath = "/dev/full"; // opens fine, every write fails
+    // 2000 samples break the sink mid-run; 10 only at the final flush.
+    for (const std::uint64_t n : {2000u, 10u}) {
+        obs::Timeline timeline(cfg);
+        ASSERT_NE(timeline.sink(), nullptr);
+        for (std::uint64_t i = 0; i < n; ++i)
+            timeline.record(makeSample(i));
+        const obs::TimelineBuffer buffer = timeline.take();
+        EXPECT_FALSE(buffer.sinkOk) << n;
+        EXPECT_EQ(buffer.recorded, n);
+        EXPECT_EQ(buffer.flushed, 0u) << n;
+        EXPECT_EQ(buffer.recorded,
+                  buffer.records.size() + buffer.dropped + buffer.flushed)
+            << n;
+        if (!buffer.records.empty()) {
+            EXPECT_EQ(buffer.records.back().seq, n - 1);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +450,7 @@ TEST(TimelineEnv, TokensMirrorHcloudTrace)
     const std::string saved_value = saved ? saved : "";
 
     ::unsetenv("HCLOUD_TIMELINE");
-    EXPECT_FALSE(obs::envTimelineEnabled());
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TIMELINE").enabled);
     obs::TimelineConfig cfg;
     EXPECT_FALSE(cfg.resolveEnabled()) << "Auto follows the environment";
     cfg.mode = obs::TimelineConfig::Mode::On;
@@ -429,17 +458,19 @@ TEST(TimelineEnv, TokensMirrorHcloudTrace)
 
     for (const char* off : {"0", "off", "false", ""}) {
         ::setenv("HCLOUD_TIMELINE", off, 1);
-        EXPECT_FALSE(obs::envTimelineEnabled()) << "'" << off << "'";
+        EXPECT_FALSE(obs::envSwitch("HCLOUD_TIMELINE").enabled)
+            << "'" << off << "'";
     }
     for (const char* on : {"1", "on", "true"}) {
         ::setenv("HCLOUD_TIMELINE", on, 1);
-        EXPECT_TRUE(obs::envTimelineEnabled()) << "'" << on << "'";
-        EXPECT_EQ(obs::envTimelinePath(), "")
+        EXPECT_TRUE(obs::envSwitch("HCLOUD_TIMELINE").enabled)
+            << "'" << on << "'";
+        EXPECT_EQ(obs::envSwitch("HCLOUD_TIMELINE").path, "")
             << "boolean tokens carry no path";
     }
     ::setenv("HCLOUD_TIMELINE", "/tmp/t.jsonl", 1);
-    EXPECT_TRUE(obs::envTimelineEnabled());
-    EXPECT_EQ(obs::envTimelinePath(), "/tmp/t.jsonl");
+    EXPECT_TRUE(obs::envSwitch("HCLOUD_TIMELINE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TIMELINE").path, "/tmp/t.jsonl");
 
     if (saved)
         ::setenv("HCLOUD_TIMELINE", saved_value.c_str(), 1);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "workload/latency_model.hpp"
 #include "workload/scenario.hpp"
@@ -117,6 +118,14 @@ struct Table2Row
     double jobRatio;
     double jobRatioTolerance;
 };
+
+/** Names each case by its scenario; gtest's default byte dump would
+ *  include the padding after `kind`, which is not initialised. */
+void
+PrintTo(const Table2Row& row, std::ostream* os)
+{
+    *os << toString(row.kind);
+}
 
 class Table2Fidelity : public ::testing::TestWithParam<Table2Row>
 {
