@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -454,6 +457,51 @@ TEST(SweepScheduler, FigureGridsHaveExpectedShape)
     b = a;
     b.sensitiveFraction = 0.5;
     EXPECT_NE(workload::digest(a), workload::digest(b));
+}
+
+/**
+ * Byte-exact golden for the figure sweep grids: every strategy under
+ * every scenario (the Figure 12 grid) plus the Figure 15 retention
+ * grid, two derived seeds each at a small load scale. GoldenTrace pins
+ * one Static/HM run event by event; this pins the reduced cell
+ * aggregates of all 21 cells, so a change to the per-tick quality,
+ * interference, QoS or retention model that moves any figure number
+ * fails here. Regenerate with HCLOUD_UPDATE_GOLDEN=1 only when a change
+ * is *supposed* to alter simulated behaviour, and say so in the commit.
+ */
+TEST(GoldenSweep, FigureGridsAreByteStable)
+{
+    const core::EngineConfig base;
+    exp::SweepOptions options;
+    options.seeds = 2;
+    options.loadScale = 0.1;
+    options.threads = 2;
+    options.title = "golden-fig12";
+    const std::string fig12 =
+        exp::sweepCellsJson(exp::runSweep(exp::fig12SweepGrid(base), options));
+    options.title = "golden-fig15";
+    const std::string fig15 =
+        exp::sweepCellsJson(exp::runSweep(exp::fig15SweepGrid(base), options));
+    const std::string text =
+        "{\"fig12\":" + fig12 + ",\n\"fig15\":" + fig15 + "}\n";
+
+    const std::string golden_path =
+        std::string(HCLOUD_GOLDEN_DIR) + "/sweep_small.json";
+    if (std::getenv("HCLOUD_UPDATE_GOLDEN")) {
+        std::ofstream golden_out(golden_path,
+                                 std::ios::binary | std::ios::trunc);
+        golden_out << text;
+        ASSERT_TRUE(golden_out) << "cannot update " << golden_path;
+        GTEST_SKIP() << "golden file regenerated: " << golden_path;
+    }
+    std::ifstream golden_in(golden_path, std::ios::binary);
+    ASSERT_TRUE(golden_in)
+        << golden_path
+        << " missing; regenerate with HCLOUD_UPDATE_GOLDEN=1";
+    std::stringstream golden_text;
+    golden_text << golden_in.rdbuf();
+    EXPECT_EQ(text, golden_text.str())
+        << "sweep aggregates changed: simulated behaviour diverged";
 }
 
 } // namespace
