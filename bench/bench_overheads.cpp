@@ -25,7 +25,9 @@
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "profiling/quasar.hpp"
+#include "sim/ou_process.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 #include "workload/archetypes.hpp"
 #include "workload/scenario.hpp"
 
@@ -487,6 +489,81 @@ BM_EffectiveQuality(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EffectiveQuality)->Arg(0)->Arg(1);
+
+/**
+ * One normal draw as the OU quality model takes it: the in-tree polar
+ * method over mt19937_64 (two or more engine draws per call).
+ */
+void
+BM_RngNormal(benchmark::State& state)
+{
+    sim::Rng rng(42);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.normal(0.5, 0.08));
+}
+BENCHMARK(BM_RngNormal);
+
+/**
+ * One OU step at a fixed tick length, as every instance's temporal
+ * quality and every host's external load take it: the memoized decay
+ * and step stddev plus one normal draw.
+ */
+void
+BM_OuAdvance(benchmark::State& state)
+{
+    sim::OuProcess ou(0.0, 600.0, 0.1, sim::Rng(5));
+    sim::Time t = 0.0;
+    for (auto _ : state) {
+        t += 30.0;
+        benchmark::DoNotOptimize(ou.advanceTo(t));
+    }
+}
+BENCHMARK(BM_OuAdvance);
+
+/**
+ * One interference-pressure miss with Arg residents of one core each on
+ * an st16: the fold over the flat resident shares, skipping self. The
+ * querying job rotates through the residents and the clock advances, so
+ * no call hits the memo; with no host the external term costs nothing.
+ */
+void
+BM_InterferencePressure(benchmark::State& state)
+{
+    const auto residents = static_cast<sim::JobId>(state.range(0));
+    const cloud::ProviderProfile gce = cloud::ProviderProfile::gce();
+    const auto& st16 =
+        cloud::InstanceTypeCatalog::defaultCatalog().byName("st16");
+    cloud::Instance inst(1, st16, gce, nullptr, false, sim::Rng(9), 0.0);
+    for (sim::JobId job = 1; job <= residents; ++job)
+        inst.addResident(job, {1.0, 0.05 * static_cast<double>(job)}, 0.0);
+    sim::Time t = 0.0;
+    sim::JobId self = 0;
+    for (auto _ : state) {
+        t += 1.0;
+        self = self % residents + 1;
+        benchmark::DoNotOptimize(inst.interferencePressure(t, self));
+    }
+}
+BENCHMARK(BM_InterferencePressure)->Arg(1)->Arg(5)->Arg(16);
+
+/**
+ * One p95 of an Arg-sample set that has no sorted copy, the per-job
+ * latency query: selection, not a full sort. Each iteration copies the
+ * unsorted set first (a linear cost the selection pays anyway).
+ */
+void
+BM_SampleSetQuantileOnce(benchmark::State& state)
+{
+    sim::Rng rng(13);
+    sim::SampleSet samples;
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        samples.add(rng.lognormal(6.0, 0.5));
+    for (auto _ : state) {
+        const sim::SampleSet fresh = samples;
+        benchmark::DoNotOptimize(fresh.quantile(0.95));
+    }
+}
+BENCHMARK(BM_SampleSetQuantileOnce)->Arg(64)->Arg(4096);
 
 /** Scenario generation (trace synthesis) at paper scale. */
 void

@@ -74,10 +74,10 @@ Instance::interferencePressure(sim::Time t, std::optional<sim::JobId> self)
         external = (exposure_ + networkExposure_) * u;
     }
     double internal = 0.0;
-    for (const auto& [job, r] : residents_) {
-        if (self && job == *self)
+    for (const ResidentEntry& e : residents_) {
+        if (self && e.job == *self)
             continue;
-        internal += r.pressure * (r.cores / coresTotal());
+        internal += e.share;
     }
     pressureT_ = t;
     pressureVersion_ = residentsVersion_;
@@ -110,13 +110,23 @@ Instance::effectiveQuality(sim::Time t, double sensitivity,
     return effQualityCached_;
 }
 
+std::vector<ResidentEntry>::iterator
+Instance::findResident(sim::JobId job)
+{
+    return std::lower_bound(
+        residents_.begin(), residents_.end(), job,
+        [](const ResidentEntry& e, sim::JobId id) { return e.job < id; });
+}
+
 bool
 Instance::addResident(sim::JobId job, const Resident& r, sim::Time now)
 {
-    assert(residents_.find(job) == residents_.end());
+    const auto pos = findResident(job);
+    assert((pos == residents_.end() || pos->job != job) &&
+           "job is already resident");
     if (r.cores > coresFree() + 1e-9)
         return false;
-    residents_.emplace(job, r);
+    residents_.insert(pos, ResidentEntry{job, r, shareOf(r)});
     ++residentsVersion_;
     coresUsed_ += r.cores;
     idleSince_ = sim::kTimeNever;
@@ -127,20 +137,22 @@ Instance::addResident(sim::JobId job, const Resident& r, sim::Time now)
 void
 Instance::resizeResident(sim::JobId job, double cores)
 {
-    auto it = residents_.find(job);
-    assert(it != residents_.end());
-    coresUsed_ += cores - it->second.cores;
-    it->second.cores = cores;
+    const auto it = findResident(job);
+    assert(it != residents_.end() && it->job == job &&
+           "resize of a job that is not resident");
+    coresUsed_ += cores - it->resident.cores;
+    it->resident.cores = cores;
+    it->share = shareOf(it->resident);
     ++residentsVersion_;
 }
 
 void
 Instance::removeResident(sim::JobId job, sim::Time now)
 {
-    auto it = residents_.find(job);
-    if (it == residents_.end())
+    const auto it = findResident(job);
+    if (it == residents_.end() || it->job != job)
         return;
-    coresUsed_ -= it->second.cores;
+    coresUsed_ -= it->resident.cores;
     residents_.erase(it);
     ++residentsVersion_;
     if (residents_.empty()) {

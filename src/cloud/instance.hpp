@@ -18,8 +18,8 @@
 #define HCLOUD_CLOUD_INSTANCE_HPP
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "cloud/instance_type.hpp"
 #include "cloud/machine.hpp"
@@ -47,6 +47,18 @@ struct Resident
     double cores = 0.0;
     /** Average pressure this job puts on shared resources, in [0, 1]. */
     double pressure = 0.0;
+};
+
+/**
+ * One entry of Instance::residents(): the job, its allocation, and the
+ * share of shared-resource pressure it contributes to its neighbours,
+ * pressure * (cores / coresTotal()), refreshed on every add and resize.
+ */
+struct ResidentEntry
+{
+    sim::JobId job = 0;
+    Resident resident;
+    double share = 0.0;
 };
 
 /**
@@ -119,8 +131,11 @@ class Instance
      *
      * Tick-coherent: memoized per exact (t, self, resident set). Any
      * resident add/resize/remove bumps an internal version, so mid-tick
-     * placement changes invalidate the cache and the O(residents) sum is
-     * recomputed with the original arithmetic (same bits as uncached).
+     * placement changes invalidate the cache. A miss folds the cached
+     * per-resident shares in JobId order, skipping @p self: the same
+     * additions in the same order as summing pressure * (cores / total)
+     * over a JobId-ordered map, so the bits match. (A running total
+     * minus self's share would round differently.)
      */
     double interferencePressure(sim::Time t,
                                 std::optional<sim::JobId> self);
@@ -168,12 +183,20 @@ class Instance
     /** Remove a job (no-op if absent). */
     void removeResident(sim::JobId job, sim::Time now);
 
-    const std::map<sim::JobId, Resident>& residents() const
+    /** Residents in ascending JobId order. */
+    const std::vector<ResidentEntry>& residents() const
     {
         return residents_;
     }
 
   private:
+    /** First entry whose job is not below @p job. */
+    std::vector<ResidentEntry>::iterator findResident(sim::JobId job);
+    double shareOf(const Resident& r) const
+    {
+        return r.pressure * (r.cores / coresTotal());
+    }
+
     sim::InstanceId id_;
     const InstanceType* type_;
     Machine* host_;
@@ -194,7 +217,8 @@ class Instance
     sim::OuProcess temporal_;
 
     double coresUsed_ = 0.0;
-    std::map<sim::JobId, Resident> residents_;
+    /** Sorted by job: a few entries, so a flat vector beats a tree. */
+    std::vector<ResidentEntry> residents_;
 
     // --- Tick-coherent memoization ---------------------------------------
     // Caches are keyed on the exact query time (plus self/sensitivity and

@@ -369,9 +369,10 @@ EngineRun::sampleTimeline(sim::Time t)
     s.utilization = cluster.reservedUtilization();
 
     s.qualityMean = quality.mean();
-    s.qualityP5 = quality.quantile(0.05);
-    s.qualityP50 = quality.quantile(0.50);
-    s.qualityP95 = quality.quantile(0.95);
+    const std::vector<double> q = quality.quantiles({0.05, 0.50, 0.95});
+    s.qualityP5 = q[0];
+    s.qualityP50 = q[1];
+    s.qualityP95 = q[2];
 
     s.queueLength =
         static_cast<std::uint32_t>(strategy_->reservedQueueLength());

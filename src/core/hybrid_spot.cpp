@@ -73,8 +73,8 @@ HybridSpotStrategy::onSpotInterrupted(cloud::Instance* instance)
     // Evict every resident; batch progress is retained (checkpointing),
     // and the job re-enters the normal mapping path.
     std::vector<workload::Job*> evicted;
-    for (const auto& [job_id, resident] : instance->residents()) {
-        auto it = jobIndex_.find(job_id);
+    for (const cloud::ResidentEntry& resident : instance->residents()) {
+        auto it = jobIndex_.find(resident.job);
         if (it != jobIndex_.end())
             evicted.push_back(it->second);
     }

@@ -26,6 +26,8 @@ QualityTracker::stateFor(const cloud::InstanceType& type) const
         state.window.push_back(
             rng_.beta(mean * kappa, (1.0 - mean) * kappa));
     }
+    state.sorted.assign(state.window.begin(), state.window.end());
+    std::sort(state.sorted.begin(), state.sorted.end());
     return types_.emplace(type.name, std::move(state)).first->second;
 }
 
@@ -33,23 +35,24 @@ void
 QualityTracker::record(const cloud::InstanceType& type, double quality)
 {
     TypeState& s = stateFor(type);
-    s.window.push_back(std::clamp(quality, 0.0, 1.0));
-    if (s.window.size() > kMaxSamples)
+    const double q = std::clamp(quality, 0.0, 1.0);
+    s.window.push_back(q);
+    s.sorted.insert(std::upper_bound(s.sorted.begin(), s.sorted.end(), q),
+                    q);
+    if (s.window.size() > kMaxSamples) {
+        // Equal values are interchangeable, so erasing any copy of the
+        // evicted value leaves exactly the sorted window.
+        s.sorted.erase(std::lower_bound(s.sorted.begin(), s.sorted.end(),
+                                        s.window.front()));
         s.window.pop_front();
-    s.dirty = true;
+    }
 }
 
 double
 QualityTracker::qualityAtConfidence(const cloud::InstanceType& type,
                                     double confidence) const
 {
-    TypeState& s = stateFor(type);
-    if (s.dirty) {
-        s.sorted.assign(s.window.begin(), s.window.end());
-        std::sort(s.sorted.begin(), s.sorted.end());
-        s.dirty = false;
-    }
-    const std::vector<double>& sorted = s.sorted;
+    const std::vector<double>& sorted = stateFor(type).sorted;
     const double q = std::clamp(1.0 - confidence, 0.0, 1.0);
     const double pos = q * static_cast<double>(sorted.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);

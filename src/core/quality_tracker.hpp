@@ -62,13 +62,11 @@ class QualityTracker
     {
         std::deque<double> window;
         /**
-         * Sorted copy of @c window, rebuilt lazily. record() marks it
-         * dirty; qualityAtConfidence() re-sorts only when the window
-         * actually changed, so the many same-tick quantile queries share
-         * one sort instead of copying and sorting per call.
+         * @c window's values in ascending order, kept in step by
+         * record(): each sample is inserted at its rank and the one that
+         * leaves the window is erased by value, so a query never sorts.
          */
         std::vector<double> sorted;
-        bool dirty = true;
     };
 
     TypeState& stateFor(const cloud::InstanceType& type) const;

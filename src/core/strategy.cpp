@@ -335,6 +335,12 @@ Strategy::qosCheck(workload::Job& job, bool violating)
         job.state != workload::JobState::Running) {
         return;
     }
+    if (!violating) {
+        // What check() does for a passing job, without the sizing lookup
+        // and capacity test that only a violating one needs.
+        qosMonitor_.forget(job.id());
+        return;
+    }
     cloud::Instance* inst = job.instance;
     const JobSizing& s = sizingOf(job);
     const bool can_boost =

@@ -405,15 +405,15 @@ fig19And20Utilization(Runner& runner)
                     continue;
                 (tl.reserved ? res_util : od_util).add(u);
             }
-            auto q = [](const sim::SampleSet& ss, double p) {
-                return ss.empty() ? 0.0 : 100.0 * ss.quantile(p);
-            };
+            const std::vector<double> res =
+                res_util.quantiles({0.25, 0.5, 0.75});
+            const std::vector<double> od =
+                od_util.quantiles({0.25, 0.5, 0.75});
             std::printf("  %8.0f %6zu | %5.0f %5.0f %5.0f | %5.0f %5.0f "
                         "%5.0f (%zu)\n",
                         t / 60.0, res_util.count() + od_util.count(),
-                        q(res_util, 0.25), q(res_util, 0.5),
-                        q(res_util, 0.75), q(od_util, 0.25),
-                        q(od_util, 0.5), q(od_util, 0.75),
+                        100.0 * res[0], 100.0 * res[1], 100.0 * res[2],
+                        100.0 * od[0], 100.0 * od[1], 100.0 * od[2],
                         od_util.count());
         }
     }

@@ -145,10 +145,12 @@ MetricsRegistry::snapshot() const
         s.count = samples.count();
         if (!samples.empty()) {
             s.value = samples.mean();
-            s.p50 = samples.quantile(0.50);
-            s.p95 = samples.quantile(0.95);
-            s.p99 = samples.quantile(0.99);
-            s.max = samples.quantile(1.0);
+            const std::vector<double> q =
+                samples.quantiles({0.50, 0.95, 0.99, 1.0});
+            s.p50 = q[0];
+            s.p95 = q[1];
+            s.p99 = q[2];
+            s.max = q[3];
         }
         out.push_back(std::move(s));
     }

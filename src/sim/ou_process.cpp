@@ -31,9 +31,13 @@ OuProcess::advanceTo(Time t)
     lastTime_ = t;
     // Exact transition: X(t+dt) ~ N(mu + (X-mu) e^{-theta dt},
     //                               sigma^2 (1 - e^{-2 theta dt})).
-    const double decay = std::exp(-theta_ * dt);
-    const double m = mean_ + (x_ - mean_) * decay;
-    const double s = stddev_ * std::sqrt(1.0 - decay * decay);
+    if (dt != stepDt_) {
+        stepDt_ = dt;
+        stepDecay_ = std::exp(-theta_ * dt);
+        stepStddev_ = stddev_ * std::sqrt(1.0 - stepDecay_ * stepDecay_);
+    }
+    const double m = mean_ + (x_ - mean_) * stepDecay_;
+    const double s = stepStddev_;
     x_ = s > 0.0 ? rng_.normal(m, s) : m;
     return x_;
 }

@@ -58,6 +58,11 @@ class OuProcess
     Rng rng_;
     double x_;
     Time lastTime_ = 0.0;
+    /** exp(-theta dt) and the step stddev for the last step length:
+     *  ticks advance by the same dt, so most steps reuse them. */
+    Duration stepDt_ = -1.0;
+    double stepDecay_ = 0.0;
+    double stepStddev_ = 0.0;
 };
 
 } // namespace hcloud::sim

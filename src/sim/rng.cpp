@@ -29,6 +29,19 @@ fnv1a(std::string_view s)
     return h;
 }
 
+/**
+ * Uniform in [0, 1) from one 64-bit draw, as libstdc++'s
+ * generate_canonical<double, 53> computes it for mt19937_64: the draw
+ * scaled by 2^-64 (exact), with the few draws that round up to 1.0
+ * pulled just below it.
+ */
+double
+canonical(std::mt19937_64& engine)
+{
+    const double u = static_cast<double>(engine()) * 0x1p-64;
+    return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
+}
+
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -63,7 +76,20 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 double
 Rng::normal(double mean, double stddev)
 {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    // Marsaglia's polar method, operation for operation as libstdc++'s
+    // normal_distribution computes it, so every draw keeps its bits on
+    // any standard library. The second normal of each accepted pair is
+    // discarded, as a freshly constructed distribution would discard it.
+    double x;
+    double y;
+    double r2;
+    do {
+        x = 2.0 * canonical(engine_) - 1.0;
+        y = 2.0 * canonical(engine_) - 1.0;
+        r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    return y * mult * stddev + mean;
 }
 
 double

@@ -55,7 +55,11 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Normal draw with the given mean and standard deviation. */
+    /**
+     * Normal draw with the given mean and standard deviation: the polar
+     * method, bit-identical to a fresh std::normal_distribution of
+     * libstdc++ (two or more engine draws per call).
+     */
     double normal(double mean, double stddev);
 
     /** Lognormal draw parameterized by the underlying normal (mu, sigma). */

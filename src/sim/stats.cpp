@@ -68,17 +68,24 @@ OnlineStats::max() const
 }
 
 void
+SampleSet::invalidate()
+{
+    sortedValid_ = false;
+    selectedQ_ = -1.0;
+}
+
+void
 SampleSet::add(double x)
 {
     samples_.push_back(x);
-    sortedValid_ = false;
+    invalidate();
 }
 
 void
 SampleSet::addAll(const std::vector<double>& xs)
 {
     samples_.insert(samples_.end(), xs.begin(), xs.end());
-    sortedValid_ = false;
+    invalidate();
 }
 
 void
@@ -122,6 +129,18 @@ SampleSet::ensureSorted() const
 }
 
 double
+SampleSet::interpolate(const std::vector<double>& v, double q)
+{
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+    if (lo == hi)
+        return v[lo];
+    const double frac = pos - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+double
 SampleSet::quantile(double q) const
 {
     // Empty sets return 0.0 like min()/max(): the old assert-only guard
@@ -129,15 +148,35 @@ SampleSet::quantile(double q) const
     // builds fed an all-failed cell.
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
     q = std::clamp(q, 0.0, 1.0);
+    if (sortedValid_)
+        return interpolate(sorted_, q);
+    if (q == selectedQ_)
+        return selectedValue_;
+    // Place the order statistic at floor(pos) by selection; the one at
+    // ceil(pos) (at most one rank above) is then the least of the rest.
+    sorted_ = samples_;
     const double pos = q * static_cast<double>(sorted_.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
-    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
-    if (lo == hi)
-        return sorted_[lo];
-    const double frac = pos - static_cast<double>(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+    const auto lo = sorted_.begin() +
+        static_cast<std::ptrdiff_t>(std::floor(pos));
+    std::nth_element(sorted_.begin(), lo, sorted_.end());
+    if (lo + 1 != sorted_.end())
+        std::iter_swap(lo + 1, std::min_element(lo + 1, sorted_.end()));
+    selectedQ_ = q;
+    selectedValue_ = interpolate(sorted_, q);
+    return selectedValue_;
+}
+
+std::vector<double>
+SampleSet::quantiles(std::initializer_list<double> qs) const
+{
+    if (!samples_.empty())
+        ensureSorted();
+    std::vector<double> out;
+    out.reserve(qs.size());
+    for (double q : qs)
+        out.push_back(quantile(q));
+    return out;
 }
 
 BoxplotSummary
@@ -146,6 +185,7 @@ SampleSet::boxplot() const
     BoxplotSummary b;
     if (samples_.empty())
         return b;
+    ensureSorted();
     b.p5 = quantile(0.05);
     b.p25 = quantile(0.25);
     b.mean = mean();
@@ -179,6 +219,7 @@ SampleSet::clear()
     samples_.clear();
     sorted_.clear();
     sortedValid_ = true;
+    selectedQ_ = -1.0;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -13,6 +13,7 @@
 #define HCLOUD_SIM_STATS_HPP
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,9 @@ struct BoxplotSummary
  *
  * Samples are stored verbatim; quantiles use linear interpolation between
  * order statistics (type-7, the numpy default). Sorting is deferred and
- * cached until the next insertion.
+ * cached until the next insertion. A lone quantile query on an unsorted
+ * set selects its two order statistics (nth_element) instead of sorting:
+ * the same values, so the same bits, in linear time.
  */
 class SampleSet
 {
@@ -92,8 +95,16 @@ class SampleSet
     /**
      * Quantile in [0, 1] with linear interpolation.
      * Returns 0.0 on an empty set, matching min()/max().
+     * Without a sorted copy this selects rather than sorts, and
+     * remembers the last answer until the next insertion.
      */
     double quantile(double q) const;
+
+    /**
+     * quantile() of each of @p qs, in order, from one shared sort: for
+     * callers that need several quantiles of the same samples.
+     */
+    std::vector<double> quantiles(std::initializer_list<double> qs) const;
 
     /** Shorthand percentile accessor, p in [0, 100]. */
     double percentile(double p) const { return quantile(p / 100.0); }
@@ -115,10 +126,18 @@ class SampleSet
 
   private:
     void ensureSorted() const;
+    void invalidate();
+    /** Type-7 interpolation between the order statistics of @p v that
+     *  bracket @p q; @p v holds them at those ranks, whatever the rest. */
+    static double interpolate(const std::vector<double>& v, double q);
 
     std::vector<double> samples_;
+    /** Sorted copy when sortedValid_; else selection scratch space. */
     mutable std::vector<double> sorted_;
     mutable bool sortedValid_ = false;
+    /** Last selected quantile (q < 0: none since the last insertion). */
+    mutable double selectedQ_ = -1.0;
+    mutable double selectedValue_ = 0.0;
 };
 
 /**

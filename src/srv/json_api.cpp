@@ -1,5 +1,6 @@
 #include "srv/json_api.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace hcloud::srv {
@@ -60,6 +61,22 @@ getStringOr(const JsonValue& obj, std::string_view name,
     if (f->type != JsonValue::Type::String)
         fieldError(name, "must be a string");
     return f->string;
+}
+
+/**
+ * Optional number field that must be finite and >= 0. Zero stays legal
+ * so minimal bodies keep working; a negative or non-finite duration,
+ * rate or size would otherwise run the session's clock backwards or
+ * poison its metrics, and would be journaled as it came.
+ */
+double
+getNonNegativeOr(const JsonValue& obj, std::string_view name,
+                 double fallback)
+{
+    const double x = getNumberOr(obj, name, fallback);
+    if (!std::isfinite(x) || x < 0.0)
+        fieldError(name, "must be a finite number >= 0");
+    return x;
 }
 
 bool
@@ -219,7 +236,12 @@ parseJobSpec(const JsonValue& v)
 {
     requireObject(v, "job spec");
     workload::JobSpec spec;
-    spec.id = static_cast<sim::JobId>(getNumberOr(v, "id", 0.0));
+    // Checked before the cast: converting a negative, non-finite or
+    // out-of-range double to an unsigned id is undefined behaviour.
+    const double id = getNumberOr(v, "id", 0.0);
+    if (!(id >= 0.0 && id <= 0x1p53) || id != std::floor(id))
+        fieldError("id", "must be an integer in [0, 2^53]");
+    spec.id = static_cast<sim::JobId>(id);
 
     const std::string kind = getStringOr(v, "kind", "");
     if (kind.empty())
@@ -229,18 +251,18 @@ parseJobSpec(const JsonValue& v)
                        "unknown application kind \"" + kind + "\""};
 
     spec.arrival = getNumber(v, "arrival");
-    if (spec.arrival < 0.0)
-        fieldError("arrival", "must be >= 0");
+    if (!std::isfinite(spec.arrival) || spec.arrival < 0.0)
+        fieldError("arrival", "must be a finite number >= 0");
     spec.coresIdeal = getNumberOr(v, "coresIdeal", spec.coresIdeal);
-    if (spec.coresIdeal <= 0.0)
-        fieldError("coresIdeal", "must be positive");
+    if (!std::isfinite(spec.coresIdeal) || spec.coresIdeal <= 0.0)
+        fieldError("coresIdeal", "must be a finite positive number");
     spec.memoryPerCore =
-        getNumberOr(v, "memoryPerCore", spec.memoryPerCore);
+        getNonNegativeOr(v, "memoryPerCore", spec.memoryPerCore);
     spec.idealDuration =
-        getNumberOr(v, "idealDuration", spec.idealDuration);
-    spec.lcLoadRps = getNumberOr(v, "lcLoadRps", spec.lcLoadRps);
-    spec.lcLifetime = getNumberOr(v, "lcLifetime", spec.lcLifetime);
-    spec.lcQosUs = getNumberOr(v, "lcQosUs", spec.lcQosUs);
+        getNonNegativeOr(v, "idealDuration", spec.idealDuration);
+    spec.lcLoadRps = getNonNegativeOr(v, "lcLoadRps", spec.lcLoadRps);
+    spec.lcLifetime = getNonNegativeOr(v, "lcLifetime", spec.lcLifetime);
+    spec.lcQosUs = getNonNegativeOr(v, "lcQosUs", spec.lcQosUs);
 
     if (const JsonValue* sensitivity = v.find("sensitivity")) {
         if (sensitivity->type != JsonValue::Type::Array ||
@@ -253,6 +275,8 @@ parseJobSpec(const JsonValue& v)
             const JsonValue& c = sensitivity->array[i];
             if (c.type != JsonValue::Type::Number)
                 fieldError("sensitivity", "must contain only numbers");
+            if (!(c.number >= 0.0 && c.number <= 1.0))
+                fieldError("sensitivity", "entries must lie in [0, 1]");
             spec.sensitivity[i] = c.number;
         }
     }

@@ -63,7 +63,11 @@ obs::JsonValue parseBody(std::string_view body);
 /** 422 unless every enum/type constraint holds. */
 SessionConfig parseSessionConfig(const obs::JsonValue& v);
 
-/** 422 unless every enum/type constraint holds. */
+/**
+ * 422 unless every enum/type/range constraint holds: an integer id in
+ * [0, 2^53], finite non-negative times, rates and sizes (coresIdeal
+ * positive), and sensitivity entries in [0, 1].
+ */
 workload::JobSpec parseJobSpec(const obs::JsonValue& v);
 
 bool parseStrategyKind(const std::string& name, core::StrategyKind* out);

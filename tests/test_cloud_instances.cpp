@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <optional>
+
 #include "cloud/external_load.hpp"
 #include "cloud/instance.hpp"
 #include "cloud/machine.hpp"
@@ -208,6 +214,79 @@ TEST(Instance, CoResidentsRaisePressure)
     // A job never presses on itself.
     const double self_view = inst.interferencePressure(10.0, 8);
     EXPECT_NEAR(self_view, alone, 1e-9);
+}
+
+TEST(Instance, FlatPressureMatchesMapWalkBitForBit)
+{
+    // The reference is the original model: residents in a JobId-ordered
+    // map, pressure re-summed per query. No host, so the external term
+    // is exactly zero and the result is clamp(kInternalImpact * sum),
+    // with kInternalImpact = 0.45 as in instance.cpp.
+    const ProviderProfile gce = ProviderProfile::gce();
+    Instance inst(1, typeNamed("st16"), gce, nullptr, true, sim::Rng(5),
+                  0.0);
+    std::map<sim::JobId, Resident> reference;
+    const auto expected = [&](std::optional<sim::JobId> self) {
+        double internal = 0.0;
+        for (const auto& [job, r] : reference) {
+            if (self && job == *self)
+                continue;
+            internal += r.pressure * (r.cores / inst.coresTotal());
+        }
+        return std::clamp(1.8 * 0.0 + 0.45 * internal, 0.0, 1.0);
+    };
+    const auto check = [&](sim::Time t, std::optional<sim::JobId> self) {
+        const double got = inst.interferencePressure(t, self);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expected(self)))
+            << "t " << t << " self " << (self ? int(*self) : -1);
+    };
+
+    sim::Rng rng(77);
+    for (int step = 1; step <= 4000; ++step) {
+        const auto job = static_cast<sim::JobId>(rng.uniformInt(1, 24));
+        const double cores = 0.25 * double(rng.uniformInt(1, 16));
+        const bool present = reference.count(job) != 0;
+        switch (rng.uniformInt(0, 2)) {
+          case 0: {
+            if (present)
+                break;
+            const Resident r{cores, rng.uniform()};
+            if (inst.addResident(job, r, step))
+                reference.emplace(job, r);
+            break;
+          }
+          case 1:
+            if (present) {
+                inst.resizeResident(job, cores);
+                reference[job].cores = cores;
+            }
+            break;
+          default: // remove, present or not
+            inst.removeResident(job, step);
+            reference.erase(job);
+            break;
+        }
+        // The container stays JobId-sorted with fresh cached shares.
+        ASSERT_EQ(inst.residents().size(), reference.size());
+        auto it = reference.begin();
+        for (const ResidentEntry& e : inst.residents()) {
+            ASSERT_EQ(e.job, it->first);
+            EXPECT_EQ(e.resident.cores, it->second.cores);
+            EXPECT_EQ(e.share, it->second.pressure *
+                                   (it->second.cores / inst.coresTotal()));
+            ++it;
+        }
+        // Half the steps share a tick with the step before (memo hits
+        // across a mutation); self absent, each resident, and a stranger.
+        const sim::Time t = double(step / 2);
+        check(t, std::nullopt);
+        for (const auto& [id, r] : reference) {
+            check(t, id);
+            check(t, id); // memo hit
+        }
+        check(t, sim::JobId{1000});
+    }
 }
 
 TEST(Instance, EffectiveQualityDecreasesWithSensitivity)

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include "cloud/provider.hpp"
 #include "core/cluster.hpp"
 #include "core/placement.hpp"
@@ -192,6 +199,47 @@ TEST(QualityTracker, TighterConfidenceReportsLowerQuality)
               tracker.qualityAtConfidence(st4, 0.90));
     EXPECT_LE(tracker.qualityAtConfidence(st4, 0.90),
               tracker.qualityAtConfidence(st4, 0.50));
+}
+
+TEST(QualityTracker, IncrementalWindowMatchesFullResort)
+{
+    // Past kMaxSamples records the priors are gone and the window is
+    // exactly the last kMaxSamples clamped observations; the tracker's
+    // answer must equal a full sort of that window, bit for bit.
+    const cloud::ProviderProfile profile = cloud::ProviderProfile::gce();
+    QualityTracker tracker(profile, sim::Rng(3));
+    const auto& st4 = typeNamed("st4");
+    std::deque<double> window;
+    sim::Rng rng(99);
+    const double confidences[] = {0.90, 0.99, 0.5, 0.0, 1.0, 0.75};
+    for (std::size_t i = 0; i < 3 * QualityTracker::kMaxSamples; ++i) {
+        // Out-of-range values exercise the clamp; coarse values repeat.
+        const double q = i % 3 == 0
+            ? 0.05 * double(rng.uniformInt(-2, 22))
+            : rng.uniform(-0.1, 1.1);
+        tracker.record(st4, q);
+        window.push_back(std::clamp(q, 0.0, 1.0));
+        if (window.size() > QualityTracker::kMaxSamples)
+            window.pop_front();
+        if (i + 1 < QualityTracker::kMaxSamples)
+            continue;
+        std::vector<double> sorted(window.begin(), window.end());
+        std::sort(sorted.begin(), sorted.end());
+        for (double confidence : confidences) {
+            const double pos = (1.0 - confidence) *
+                static_cast<double>(sorted.size() - 1);
+            const std::size_t lo = static_cast<std::size_t>(pos);
+            const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+            const double frac = pos - static_cast<double>(lo);
+            const double want =
+                sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          tracker.qualityAtConfidence(st4, confidence)),
+                      std::bit_cast<std::uint64_t>(want))
+                << "record " << i << " confidence " << confidence;
+        }
+    }
+    EXPECT_EQ(tracker.samples(st4), QualityTracker::kMaxSamples);
 }
 
 TEST(SoftLimit, DropsUnderQueueingRecoversWhenCalm)

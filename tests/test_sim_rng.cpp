@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -92,6 +95,77 @@ TEST(Rng, NormalMatchesMoments)
     EXPECT_NEAR(stats.mean(), 10.0, 0.1);
     EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
 }
+
+TEST(Rng, NormalFirstDrawsArePinned)
+{
+    // The simulator's output is a function of these bits, on any
+    // standard library: Rng::normal owns its polar method.
+    const double expected[] = {
+        0x1.dda8fe97b98d1p-1,
+        -0x1.1e1317eddb868p-1,
+        -0x1.28f4f2691ff79p+1,
+        0x1.2e7e9dd54409ep+0,
+        -0x1.575b732c6aabcp-3,
+        -0x1.111147bd83046p-1,
+        -0x1.9ced92fb2408p+0,
+        0x1.0a0c05bdbafdcp+0,
+        -0x1.1b80558bd721ap-1,
+        0x1.dfb989f455ffdp-3,
+        0x1.0f4bb7123bad9p-2,
+        0x1.02feac359d642p-2,
+        0x1.594e9e6566d3bp-1,
+        0x1.8ea104e2969a5p-1,
+        0x1.98bcc006e48d9p+0,
+        0x1.952b8d8d04986p+0,
+    };
+    Rng rng(42);
+    for (double e : expected)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal(0.0, 1.0)),
+                  std::bit_cast<std::uint64_t>(e));
+}
+
+#ifdef __GLIBCXX__
+/** Engine wrapper that counts the raw 64-bit draws it hands out. */
+struct CountingEngine
+{
+    using result_type = std::mt19937_64::result_type;
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()()
+    {
+        ++draws;
+        return engine();
+    }
+    std::mt19937_64 engine;
+    std::uint64_t draws = 0;
+};
+
+TEST(Rng, NormalIsBitIdenticalToLibstdcxx)
+{
+    // A fresh std::normal_distribution per draw is what Rng::normal
+    // replaced: same values, same engine advance, spare discarded.
+    const std::pair<double, double> params[] = {
+        {0.0, 1.0}, {0.5, 0.08}, {-3.25, 17.0}, {1e6, 1e-3}};
+    constexpr int kDraws = 300000;
+    for (const auto& [mean, sd] : params) {
+        Rng rng(0x5eedULL + static_cast<std::uint64_t>(mean * 4.0));
+        CountingEngine ref{rng.engine(), 0};
+        int mismatches = 0;
+        for (int i = 0; i < kDraws; ++i) {
+            const double got = rng.normal(mean, sd);
+            const double want =
+                std::normal_distribution<double>(mean, sd)(ref);
+            mismatches += std::bit_cast<std::uint64_t>(got) !=
+                std::bit_cast<std::uint64_t>(want);
+        }
+        EXPECT_EQ(mismatches, 0) << "mean " << mean << " sd " << sd;
+        EXPECT_TRUE(rng.engine() == ref.engine)
+            << "engine advance diverged";
+        // About 21% of polar pairs are rejected: the loop ran often.
+        EXPECT_GT(ref.draws, std::uint64_t{2} * kDraws + kDraws / 5);
+    }
+}
+#endif
 
 TEST(Rng, LognormalQuantileCalibration)
 {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -98,6 +102,72 @@ TEST(SampleSet, QuantileAfterLateInsertInvalidatesCache)
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 3.0);
     s.add(10.0);
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 10.0);
+}
+
+/** The full-sort quantile: type-7 interpolation over sorted samples. */
+double
+sortedQuantile(std::vector<double> xs, double q)
+{
+    std::sort(xs.begin(), xs.end());
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+    if (lo == hi)
+        return xs[lo];
+    const double frac = pos - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(SampleSet, SelectedQuantileMatchesSortedBitForBit)
+{
+    const double qs[] = {0.0, 1.0, 0.5, 0.95, 0.05, 0.25, 0.75,
+                         0.99, 0.333, 0.95, 0.0, 1.0};
+    Rng rng(2024);
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{7}, std::size_t{64},
+                          std::size_t{241}, std::size_t{1000}}) {
+        for (bool duplicates : {false, true}) {
+            std::vector<double> xs;
+            SampleSet selected; // answers by selection
+            SampleSet sorted;   // primed, answers from its sorted copy
+            for (std::size_t i = 0; i < n; ++i) {
+                // Duplicates: a handful of distinct values, many ties.
+                const double x = duplicates
+                    ? static_cast<double>(rng.uniformInt(0, 4)) * 0.25
+                    : rng.normal(100.0, 30.0);
+                xs.push_back(x);
+                selected.add(x);
+                sorted.add(x);
+                // Interleave queries with insertions.
+                if (i % 5 == 0) {
+                    const double q = qs[i % std::size(qs)];
+                    EXPECT_EQ(bits(selected.quantile(q)),
+                              bits(sortedQuantile(xs, q)))
+                        << "n " << xs.size() << " q " << q;
+                }
+            }
+            (void)sorted.sorted();
+            for (double q : qs) {
+                const double want = sortedQuantile(xs, q);
+                EXPECT_EQ(bits(selected.quantile(q)), bits(want))
+                    << "n " << n << " q " << q;
+                EXPECT_EQ(bits(sorted.quantile(q)), bits(want))
+                    << "n " << n << " q " << q;
+            }
+            const std::vector<double> many =
+                selected.quantiles({0.05, 0.5, 0.95, 1.0});
+            EXPECT_EQ(bits(many[0]), bits(sortedQuantile(xs, 0.05)));
+            EXPECT_EQ(bits(many[1]), bits(sortedQuantile(xs, 0.5)));
+            EXPECT_EQ(bits(many[2]), bits(sortedQuantile(xs, 0.95)));
+            EXPECT_EQ(bits(many[3]), bits(sortedQuantile(xs, 1.0)));
+        }
+    }
 }
 
 TEST(SampleSet, BoxplotSummary)

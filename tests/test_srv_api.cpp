@@ -244,6 +244,62 @@ TEST_F(SrvApi, JobSpecValidation)
     EXPECT_EQ(s5, 200);
 }
 
+TEST_F(SrvApi, HostileJobSpecNumbersAre422)
+{
+    createTenant("h");
+    const std::string prefix =
+        "{\"kind\":\"memcached\",\"arrival\":1,";
+    // Each body is one out-of-range number. Before validation a negative
+    // lcLifetime aborted a debug daemon ("negative delay") and ran a
+    // release daemon's clock backwards; an out-of-range id was an
+    // undefined float-to-unsigned cast.
+    const std::vector<std::string> hostile = {
+        "\"lcLifetime\":-100}",
+        "\"lcLoadRps\":-1}",
+        "\"lcQosUs\":-0.5}",
+        "\"idealDuration\":-10}",
+        "\"memoryPerCore\":-2}",
+        "\"lcLifetime\":1e999}",
+        "\"lcQosUs\":-1e999}",
+        "\"coresIdeal\":1e999}",
+        "\"id\":-1}",
+        "\"id\":1.5}",
+        "\"id\":1e300}",
+        "\"id\":9007199254740994}",
+        "\"sensitivity\":[0,0,0,0,0,0,0,0,0,1.5]}",
+        "\"sensitivity\":[-0.1,0,0,0,0,0,0,0,0,0]}",
+        "\"sensitivity\":[0,0,0,0,1e999,0,0,0,0,0]}",
+    };
+    for (const std::string& tail : hostile) {
+        auto [status, json] = post("/v1/tenants/h/jobs", prefix + tail);
+        EXPECT_EQ(status, 422) << tail;
+        EXPECT_EQ(errorCode(json), "invalid_field") << tail;
+    }
+    auto [sa, ja] = post("/v1/tenants/h/jobs", "{\"kind\":\"memcached\","
+                                                "\"arrival\":1e999}");
+    EXPECT_EQ(sa, 422);
+    EXPECT_EQ(errorCode(ja), "invalid_field");
+
+    // Zero stays legal everywhere, as do the largest exact id and
+    // sensitivity at both ends of [0, 1].
+    auto [s0, j0] = post(
+        "/v1/tenants/h/jobs",
+        prefix + "\"id\":9007199254740992,\"memoryPerCore\":0,"
+                 "\"idealDuration\":0,\"lcLoadRps\":0,\"lcLifetime\":0,"
+                 "\"lcQosUs\":0,\"sensitivity\":[0,1,0,1,0,1,0,1,0,1]}");
+    EXPECT_EQ(s0, 200);
+
+    // The daemon keeps serving: a normal job runs and the report reads.
+    auto [s1, j1] = post("/v1/tenants/h/jobs",
+                         "{\"kind\":\"hadoop-svm\",\"arrival\":2,"
+                         "\"coresIdeal\":2,\"idealDuration\":10}");
+    EXPECT_EQ(s1, 200);
+    auto [s2, j2] = post("/v1/tenants/h/advance", "{\"to\":120}");
+    EXPECT_EQ(s2, 200);
+    auto [s3, j3] = get("/v1/tenants/h/report");
+    EXPECT_EQ(s3, 200);
+}
+
 TEST_F(SrvApi, MonotonicViolationsAndDuplicatesAre409)
 {
     createTenant("m");
