@@ -492,7 +492,8 @@ BENCHMARK(BM_EffectiveQuality)->Arg(0)->Arg(1);
 
 /**
  * One normal draw as the OU quality model takes it: the in-tree polar
- * method over mt19937_64 (two or more engine draws per call).
+ * method over xoshiro256**. Every other call returns the kept spare of
+ * the last pair; the rest draw a pair (two or more engine draws).
  */
 void
 BM_RngNormal(benchmark::State& state)
@@ -502,6 +503,22 @@ BM_RngNormal(benchmark::State& state)
         benchmark::DoNotOptimize(rng.normal(0.5, 0.08));
 }
 BENCHMARK(BM_RngNormal);
+
+/**
+ * One integer-keyed child stream, as every instance, machine and OU
+ * process derives its own: the seed mix plus four SplitMix64 state words.
+ */
+void
+BM_RngChild(benchmark::State& state)
+{
+    const sim::Rng parent(42);
+    std::uint64_t key = 0;
+    for (auto _ : state) {
+        sim::Rng child = parent.child(++key);
+        benchmark::DoNotOptimize(child);
+    }
+}
+BENCHMARK(BM_RngChild);
 
 /**
  * One OU step at a fixed tick length, as every instance's temporal

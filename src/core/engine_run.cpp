@@ -177,9 +177,11 @@ EngineRun::finishJob(workload::Job& job, sim::Time when, bool failed)
     job.state = failed ? workload::JobState::Failed
                        : workload::JobState::Completed;
     ++finished_;
-    tracer_.job(failed ? obs::EventKind::JobFail : obs::EventKind::JobFinish,
-                when, job.id(), job.perfNormalized(), {},
-                failed ? obs::Severity::Warn : obs::Severity::Info);
+    if (tracer_.enabled())
+        tracer_.job(failed ? obs::EventKind::JobFail
+                           : obs::EventKind::JobFinish,
+                    when, job.id(), job.perfNormalized(), {},
+                    failed ? obs::Severity::Warn : obs::Severity::Info);
     strategy_->jobCompleted(job);
 }
 

@@ -1,6 +1,5 @@
 #include "profiling/matrix_factorization.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -49,7 +48,7 @@ MatrixFactorization::train()
     const double lr = config_.learningRate;
     const double reg = config_.regularization;
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-        std::shuffle(order.begin(), order.end(), rng_.engine());
+        rng_.shuffle(order.begin(), order.end());
         for (std::size_t idx : order) {
             const Entry& e = entries_[idx];
             double* uf = &u_[e.row * config_.rank];

@@ -1,6 +1,8 @@
 #include "sim/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace hcloud::sim {
@@ -29,24 +31,32 @@ fnv1a(std::string_view s)
     return h;
 }
 
-/**
- * Uniform in [0, 1) from one 64-bit draw, as libstdc++'s
- * generate_canonical<double, 53> computes it for mt19937_64: the draw
- * scaled by 2^-64 (exact), with the few draws that round up to 1.0
- * pulled just below it.
- */
-double
-canonical(std::mt19937_64& engine)
-{
-    const double u = static_cast<double>(engine()) * 0x1p-64;
-    return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
-}
+__extension__ typedef unsigned __int128 Uint128;
 
 } // namespace
 
-Rng::Rng(std::uint64_t seed)
-    : seed_(seed), engine_(splitMix64(seed))
+Rng::Rng(std::uint64_t seed) : seed_(seed)
 {
+    // The SplitMix64 generator started at the seed: word i is the
+    // finalizer of seed + (i + 1) * golden. It is a bijection, so at
+    // most one word is zero and the state is never all-zero.
+    std::uint64_t x = seed;
+    for (std::uint64_t& word : s_) {
+        word = splitMix64(x);
+        x += 0x9e3779b97f4a7c15ULL;
+    }
+}
+
+Rng
+Rng::fromState(std::uint64_t s0, std::uint64_t s1, std::uint64_t s2,
+               std::uint64_t s3)
+{
+    Rng rng(0);
+    rng.s_[0] = s0;
+    rng.s_[1] = s1;
+    rng.s_[2] = s2;
+    rng.s_[3] = s3;
+    return rng;
 }
 
 Rng
@@ -61,41 +71,70 @@ Rng::child(std::uint64_t key) const
     return Rng(splitMix64(seed_ ^ splitMix64(key ^ 0xa5a5a5a5a5a5a5a5ULL)));
 }
 
+std::uint64_t
+Rng::below(std::uint64_t n)
+{
+    // Lemire, "Fast Random Integer Generation in an Interval" (2019):
+    // the high word of draw * n, rejecting the low words that would
+    // make some results one draw more likely than others.
+    Uint128 m = static_cast<Uint128>(next()) * n;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < n) {
+        const std::uint64_t threshold = (0 - n) % n;
+        while (low < threshold) {
+            m = static_cast<Uint128>(next()) * n;
+            low = static_cast<std::uint64_t>(m);
+        }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+}
+
 double
 Rng::uniform(double lo, double hi)
 {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    const double r = lo + (hi - lo) * unit();
+    // Rounding can carry lo + (hi - lo) * u up to hi for u just below 1.
+    return r < hi ? r : std::nextafter(hi, lo);
 }
 
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    if (span == std::numeric_limits<std::uint64_t>::max())
+        return static_cast<std::int64_t>(next());
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     below(span + 1));
 }
 
 double
 Rng::normal(double mean, double stddev)
 {
-    // Marsaglia's polar method, operation for operation as libstdc++'s
-    // normal_distribution computes it, so every draw keeps its bits on
-    // any standard library. The second normal of each accepted pair is
-    // discarded, as a freshly constructed distribution would discard it.
+    if (hasSpare_) {
+        hasSpare_ = false;
+        return spare_ * stddev + mean;
+    }
+    // Marsaglia's polar method: a point uniform in the unit disc gives
+    // two independent standard normals.
     double x;
     double y;
     double r2;
     do {
-        x = 2.0 * canonical(engine_) - 1.0;
-        y = 2.0 * canonical(engine_) - 1.0;
+        x = 2.0 * unit() - 1.0;
+        y = 2.0 * unit() - 1.0;
         r2 = x * x + y * y;
     } while (r2 > 1.0 || r2 == 0.0);
     const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    spare_ = x * mult;
+    hasSpare_ = true;
     return y * mult * stddev + mean;
 }
 
 double
 Rng::lognormal(double mu, double sigma)
 {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+    return std::exp(normal(mu, sigma));
 }
 
 double
@@ -110,7 +149,7 @@ Rng::lognormalFromQuantiles(double median, double p95)
 double
 Rng::exponential(double mean)
 {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return -mean * std::log1p(-unit());
 }
 
 bool
@@ -120,16 +159,42 @@ Rng::bernoulli(double p)
         return false;
     if (p >= 1.0)
         return true;
-    return std::bernoulli_distribution(p)(engine_);
+    return unit() < p;
+}
+
+double
+Rng::gamma(double shape, double scale)
+{
+    if (shape < 1.0) {
+        // Gamma(a) = Gamma(a + 1) * U^(1/a); 1 - unit() lies in (0, 1].
+        const double g = gamma(shape + 1.0, scale);
+        return g * std::pow(1.0 - unit(), 1.0 / shape);
+    }
+    // Marsaglia & Tsang, "A Simple Method for Generating Gamma
+    // Variables" (2000).
+    const double d = shape - 1.0 / 3.0;
+    const double c = 1.0 / std::sqrt(9.0 * d);
+    for (;;) {
+        double x;
+        double v;
+        do {
+            x = normal(0.0, 1.0);
+            v = 1.0 + c * x;
+        } while (v <= 0.0);
+        v = v * v * v;
+        const double u = unit();
+        const double x2 = x * x;
+        if (u < 1.0 - 0.0331 * x2 * x2 ||
+            std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v)))
+            return d * v * scale;
+    }
 }
 
 double
 Rng::beta(double a, double b)
 {
-    std::gamma_distribution<double> ga(a, 1.0);
-    std::gamma_distribution<double> gb(b, 1.0);
-    const double x = ga(engine_);
-    const double y = gb(engine_);
+    const double x = gamma(a);
+    const double y = gamma(b);
     const double s = x + y;
     return s > 0.0 ? x / s : 0.5;
 }

@@ -202,7 +202,7 @@ TEST(Engine, EventsProcessedPinnedForFixedSeed)
     EngineConfig config;
     config.seed = 11;
     const RunResult r = Engine(config).run(trace, StrategyKind::HM, "pin");
-    EXPECT_EQ(r.telemetry.eventsProcessed, 8172u);
+    EXPECT_EQ(r.telemetry.eventsProcessed, 8265u);
 }
 
 /**

@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "cloud/pricing.hpp"
 #include "core/engine.hpp"
 #include "exp/runner.hpp"
+#include "exp/sweep.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcloud {
@@ -150,15 +153,25 @@ TEST_F(IntegrationTest, HybridsCheaperThanFullyOnDemand)
 
 TEST_F(IntegrationTest, SrUtilizationCollapsesUnderVariability)
 {
-    const double static_util =
-        get(workload::ScenarioKind::Static, core::StrategyKind::SR)
-            .reservedUtilizationAvg;
-    const double high_util =
-        get(workload::ScenarioKind::HighVariability,
-            core::StrategyKind::SR)
-            .reservedUtilizationAvg;
-    EXPECT_GT(static_util, 0.6);
-    EXPECT_LT(high_util, static_util - 0.25)
+    // The static-to-high-variability utilization gap of one seed spreads
+    // about 0.05 around its mean, so the 0.25 bound holds on the mean over
+    // eight derived seeds; the static pool stays busy on every seed.
+    const std::vector<std::uint64_t> seeds = exp::deriveSeedList(42, 8);
+    double gap_sum = 0.0;
+    for (std::uint64_t seed : seeds) {
+        exp::Runner runner(exp::ExperimentOptions{/*loadScale=*/0.30, seed});
+        const double static_util =
+            runner.run(workload::ScenarioKind::Static, core::StrategyKind::SR)
+                .reservedUtilizationAvg;
+        const double high_util =
+            runner
+                .run(workload::ScenarioKind::HighVariability,
+                     core::StrategyKind::SR)
+                .reservedUtilizationAvg;
+        EXPECT_GT(static_util, 0.6) << "seed " << seed;
+        gap_sum += static_util - high_util;
+    }
+    EXPECT_GT(gap_sum / static_cast<double>(seeds.size()), 0.25)
         << "peak-sized pools waste capacity under variability";
 }
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <random>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -99,24 +102,25 @@ TEST(Rng, NormalMatchesMoments)
 TEST(Rng, NormalFirstDrawsArePinned)
 {
     // The simulator's output is a function of these bits, on any
-    // standard library: Rng::normal owns its polar method.
+    // compiler and standard library: Rng owns its engine and its polar
+    // method, and every other draw is the kept spare of a pair.
     const double expected[] = {
-        0x1.dda8fe97b98d1p-1,
-        -0x1.1e1317eddb868p-1,
-        -0x1.28f4f2691ff79p+1,
-        0x1.2e7e9dd54409ep+0,
-        -0x1.575b732c6aabcp-3,
-        -0x1.111147bd83046p-1,
-        -0x1.9ced92fb2408p+0,
-        0x1.0a0c05bdbafdcp+0,
-        -0x1.1b80558bd721ap-1,
-        0x1.dfb989f455ffdp-3,
-        0x1.0f4bb7123bad9p-2,
-        0x1.02feac359d642p-2,
-        0x1.594e9e6566d3bp-1,
-        0x1.8ea104e2969a5p-1,
-        0x1.98bcc006e48d9p+0,
-        0x1.952b8d8d04986p+0,
+        -0x1.b088028693f9cp-3,
+        -0x1.73d2feb0fb377p-1,
+        0x1.0ba8bb0c5fa51p-1,
+        0x1.c5e21f7812a4cp-3,
+        0x1.7b6195d5a3e23p-1,
+        0x1.db514bfac5b4ep-2,
+        0x1.e20eadc1acf5bp-2,
+        0x1.79eb7c13cfccdp+0,
+        -0x1.27ff46db4a30bp+0,
+        0x1.02007c2380aeap+0,
+        -0x1.3804e59c2fc12p-1,
+        0x1.06f74c2a8e101p+0,
+        0x1.53a821553f75ep-1,
+        0x1.7bb262180f952p-2,
+        0x1.0a47956a8bb82p+0,
+        0x1.61ec2cfebd724p-2,
     };
     Rng rng(42);
     for (double e : expected)
@@ -124,48 +128,171 @@ TEST(Rng, NormalFirstDrawsArePinned)
                   std::bit_cast<std::uint64_t>(e));
 }
 
-#ifdef __GLIBCXX__
-/** Engine wrapper that counts the raw 64-bit draws it hands out. */
-struct CountingEngine
+TEST(Rng, NormalSpareIsScaledOnReturn)
 {
-    using result_type = std::mt19937_64::result_type;
-    static constexpr result_type min() { return std::mt19937_64::min(); }
-    static constexpr result_type max() { return std::mt19937_64::max(); }
-    result_type operator()()
-    {
-        ++draws;
-        return engine();
-    }
-    std::mt19937_64 engine;
-    std::uint64_t draws = 0;
-};
+    // The kept spare is a standard normal: the second draw of a pair
+    // takes the mean and stddev of the call that returns it.
+    Rng a(77);
+    Rng b(77);
+    const double z1 = a.normal(0.0, 1.0);
+    const double z2 = a.normal(0.0, 1.0);
+    EXPECT_EQ(b.normal(0.0, 1.0), z1);
+    EXPECT_EQ(b.normal(5.0, 3.0), z2 * 3.0 + 5.0);
+}
 
-TEST(Rng, NormalIsBitIdenticalToLibstdcxx)
+TEST(Rng, XoshiroReferenceOutputs)
 {
-    // A fresh std::normal_distribution per draw is what Rng::normal
-    // replaced: same values, same engine advance, spare discarded.
-    const std::pair<double, double> params[] = {
-        {0.0, 1.0}, {0.5, 0.08}, {-3.25, 17.0}, {1e6, 1e-3}};
-    constexpr int kDraws = 300000;
-    for (const auto& [mean, sd] : params) {
-        Rng rng(0x5eedULL + static_cast<std::uint64_t>(mean * 4.0));
-        CountingEngine ref{rng.engine(), 0};
-        int mismatches = 0;
-        for (int i = 0; i < kDraws; ++i) {
-            const double got = rng.normal(mean, sd);
-            const double want =
-                std::normal_distribution<double>(mean, sd)(ref);
-            mismatches += std::bit_cast<std::uint64_t>(got) !=
-                std::bit_cast<std::uint64_t>(want);
-        }
-        EXPECT_EQ(mismatches, 0) << "mean " << mean << " sd " << sd;
-        EXPECT_TRUE(rng.engine() == ref.engine)
-            << "engine advance diverged";
-        // About 21% of polar pairs are rejected: the loop ran often.
-        EXPECT_GT(ref.draws, std::uint64_t{2} * kDraws + kDraws / 5);
+    // xoshiro256** from state {1, 2, 3, 4}, as the reference C code
+    // computes it.
+    Rng rng = Rng::fromState(1, 2, 3, 4);
+    EXPECT_EQ(rng.next(), 11520u);
+    EXPECT_EQ(rng.next(), 0u);
+    EXPECT_EQ(rng.next(), 1509978240u);
+    EXPECT_EQ(rng.next(), 1215971899390074240u);
+}
+
+TEST(Rng, ChildSeedsArePinned)
+{
+    // Seed derivation is part of every seed list and every run's
+    // identity (quasar, deriveSeedList, serve tenants): it must not move.
+    const Rng root(42);
+    EXPECT_EQ(root.child("quasar").seed(), 0x38241ff8b4f329cbULL);
+    EXPECT_EQ(root.child(std::uint64_t{7}).seed(), 0xf9e7fd4957ca64a0ULL);
+    EXPECT_EQ(root.child("instance").child(std::uint64_t{3}).seed(),
+              0x5e89b6c63a6b5034ULL);
+}
+
+TEST(Rng, StreamIsSmall)
+{
+    // Every Instance, Machine and OU process holds one by value.
+    static_assert(sizeof(Rng) <= 64);
+}
+
+TEST(Rng, UniformNeverReturnsHi)
+{
+    // A one-ulp range rounds lo + (hi - lo) * u up to hi for half of all
+    // u; the result must still lie in [lo, hi).
+    Rng rng(31);
+    const double lo = 1.0;
+    const double hi = std::nextafter(lo, 2.0);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(rng.uniform(lo, hi), lo);
+    for (int i = 0; i < 10000; ++i) {
+        const double x = rng.uniform(-1e300, 1e300);
+        ASSERT_LT(x, 1e300);
+        ASSERT_GE(x, -1e300);
     }
 }
-#endif
+
+TEST(Rng, UniformIntEdgeCases)
+{
+    Rng rng(37);
+    for (int i = 0; i < 100; ++i)
+        ASSERT_EQ(rng.uniformInt(-5, -5), -5);
+
+    // The full int64 span takes the raw draw: both signs, both halves.
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    int negative = 0;
+    for (int i = 0; i < 1000; ++i)
+        negative += rng.uniformInt(kMin, kMax) < 0;
+    EXPECT_GT(negative, 400);
+    EXPECT_LT(negative, 600);
+
+    // One short of the full span still stays inside it.
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_GT(rng.uniformInt(kMin + 1, kMax), kMin);
+}
+
+TEST(Rng, UniformIntChiSquare)
+{
+    // 10 bins, 100 k draws: chi-square with 9 degrees of freedom stays
+    // below its 0.999 quantile (27.88).
+    Rng rng(41);
+    constexpr int kBins = 10;
+    constexpr int kDraws = 100000;
+    std::vector<int> counts(kBins, 0);
+    for (int i = 0; i < kDraws; ++i)
+        ++counts[static_cast<std::size_t>(rng.uniformInt(3, 3 + kBins - 1) - 3)];
+    const double expected = static_cast<double>(kDraws) / kBins;
+    double chi2 = 0.0;
+    for (int c : counts)
+        chi2 += (c - expected) * (c - expected) / expected;
+    EXPECT_LT(chi2, 27.88);
+}
+
+TEST(Rng, GammaMoments)
+{
+    // Gamma(k, theta): mean k * theta, variance k * theta^2. Shape 0.3
+    // takes the U^(1/k) boost path.
+    const std::pair<double, double> params[] = {
+        {3.0, 2.0}, {1.0, 1.0}, {0.3, 1.0}, {0.05, 4.0}};
+    for (const auto& [shape, scale] : params) {
+        Rng rng(43);
+        OnlineStats stats;
+        for (int i = 0; i < 200000; ++i) {
+            const double x = rng.gamma(shape, scale);
+            ASSERT_GE(x, 0.0);
+            stats.add(x);
+        }
+        const double mean = shape * scale;
+        const double sd = std::sqrt(shape) * scale;
+        EXPECT_NEAR(stats.mean(), mean, 0.02 * mean + 0.01 * sd)
+            << "shape " << shape;
+        EXPECT_NEAR(stats.stddev(), sd, 0.03 * sd) << "shape " << shape;
+    }
+}
+
+TEST(Rng, BetaMomentsWithSmallShapes)
+{
+    // Instance and QualityTracker draw Beta(mean * kappa, ...) with
+    // shapes below one for extreme means.
+    const std::pair<double, double> params[] = {
+        {0.5, 0.5}, {2.0, 0.3}, {0.2, 5.0}};
+    for (const auto& [a, b] : params) {
+        Rng rng(47);
+        OnlineStats stats;
+        for (int i = 0; i < 200000; ++i) {
+            const double x = rng.beta(a, b);
+            ASSERT_GE(x, 0.0);
+            ASSERT_LE(x, 1.0);
+            stats.add(x);
+        }
+        const double mean = a / (a + b);
+        const double var = a * b / ((a + b) * (a + b) * (a + b + 1.0));
+        EXPECT_NEAR(stats.mean(), mean, 0.005) << a << "," << b;
+        EXPECT_NEAR(stats.stddev(), std::sqrt(var), 0.005) << a << "," << b;
+    }
+}
+
+TEST(Rng, ShuffleIsAPermutation)
+{
+    Rng rng(53);
+    std::vector<int> v(100);
+    std::iota(v.begin(), v.end(), 0);
+    std::vector<int> shuffled = v;
+    rng.shuffle(shuffled.begin(), shuffled.end());
+    EXPECT_NE(shuffled, v);
+    std::vector<int> sorted = shuffled;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, v);
+
+    // Every position receives every value about equally often.
+    std::vector<int> first(4, 0);
+    for (int i = 0; i < 40000; ++i) {
+        int small[] = {0, 1, 2, 3};
+        rng.shuffle(std::begin(small), std::end(small));
+        ++first[static_cast<std::size_t>(small[0])];
+    }
+    for (int c : first)
+        EXPECT_NEAR(c / 40000.0, 0.25, 0.01);
+
+    std::vector<int> empty;
+    rng.shuffle(empty.begin(), empty.end());
+    std::vector<int> one = {9};
+    rng.shuffle(one.begin(), one.end());
+    EXPECT_EQ(one, std::vector<int>{9});
+}
 
 TEST(Rng, LognormalQuantileCalibration)
 {
