@@ -26,6 +26,8 @@ main(int argc, char** argv)
     using namespace hcloud;
 
     exp::ExperimentOptions opt;
+    // A serial figure: one inline worker, and HCLOUD_THREADS stays unread.
+    opt.threads = 1;
     if (argc > 1)
         opt.loadScale = std::atof(argv[1]);
     if (argc > 2)

@@ -15,6 +15,8 @@ int
 main(int argc, char** argv)
 {
     hcloud::exp::ExperimentOptions opt;
+    // A serial figure: one inline worker, and HCLOUD_THREADS stays unread.
+    opt.threads = 1;
     if (argc > 1)
         opt.loadScale = std::atof(argv[1]);
     if (argc > 2)

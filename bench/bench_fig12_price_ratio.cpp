@@ -25,7 +25,6 @@
 #include "exp/cli.hpp"
 #include "exp/figures.hpp"
 #include "exp/sweep.hpp"
-#include "runtime/parallel_runner.hpp"
 
 int
 main(int argc, char** argv)
@@ -38,8 +37,7 @@ main(int argc, char** argv)
     exp::ScopedMetricsServer metrics(cli);
     if (metrics.failed())
         return 1;
-    hcloud::runtime::ParallelRunner runner(cli.options,
-                                           cli.engineConfig());
+    hcloud::exp::Runner runner(cli.options, cli.engineConfig());
     if (cli.sweepRequested()) {
         exp::SweepOptions options;
         options.title = "fig12_price_ratio";

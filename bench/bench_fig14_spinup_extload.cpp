@@ -13,7 +13,6 @@
 #include <cstdlib>
 
 #include "exp/figures.hpp"
-#include "runtime/parallel_runner.hpp"
 
 int
 main(int argc, char** argv)
@@ -26,7 +25,7 @@ main(int argc, char** argv)
     if (argc > 3)
         opt.threads = static_cast<std::size_t>(
             std::strtoull(argv[3], nullptr, 10));
-    hcloud::runtime::ParallelRunner runner(opt);
+    hcloud::exp::Runner runner(opt);
     hcloud::exp::fig14SpinUpAndExternalLoad(runner);
     return 0;
 }

@@ -28,10 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "obs/json.hpp"
 #include "obs/phase_profiler.hpp"
-#include "runtime/parallel_runner.hpp"
 
 namespace {
 
@@ -97,7 +97,7 @@ runBaseline(const std::vector<hcloud::exp::SweepCell>& cells,
     opt.loadScale = options.loadScale;
     opt.seed = options.baseSeed;
     opt.threads = options.threads;
-    hcloud::runtime::ParallelRunner runner(opt);
+    hcloud::exp::Runner runner(opt);
     const std::vector<hcloud::exp::RunSpec> specs =
         baselineSpecs(cells, options);
     const auto start = hcloud::obs::PhaseProfiler::Clock::now();

@@ -59,7 +59,10 @@ main(int argc, char** argv)
                 "perf floor %.0f%%\n\n",
                 toString(kind), weeks, 100.0 * min_perf);
 
-    exp::Runner runner;
+    exp::ExperimentOptions opt;
+    // A serial driver: one inline worker, and HCLOUD_THREADS stays unread.
+    opt.threads = 1;
+    exp::Runner runner(opt);
     const cloud::AwsStylePricing pricing;
     std::vector<Candidate> candidates;
     for (core::StrategyKind s : core::kAllStrategies) {

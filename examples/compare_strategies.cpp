@@ -42,6 +42,8 @@ main(int argc, char** argv)
 
     exp::ExperimentOptions opt;
     opt.loadScale = load_scale;
+    // A serial driver: one inline worker, and HCLOUD_THREADS stays unread.
+    opt.threads = 1;
     exp::Runner runner(opt);
 
     const workload::TraceStats stats = runner.trace(kind).stats();

@@ -42,7 +42,10 @@ main(int argc, char** argv)
     std::printf("mapping-policy exploration: %s on the %s scenario\n\n",
                 toString(strategy), toString(kind));
 
-    exp::Runner runner;
+    exp::ExperimentOptions opt;
+    // A serial driver: one inline worker, and HCLOUD_THREADS stays unread.
+    opt.threads = 1;
+    exp::Runner runner(opt);
     const cloud::AwsStylePricing pricing;
     const double base_cost =
         runner.run(workload::ScenarioKind::Static, core::StrategyKind::SR)

@@ -93,8 +93,8 @@ fig12PriceRatio(Runner& runner)
 {
     printHeader("Figure 12: cost sensitivity to the on-demand:reserved "
                 "price ratio (normalized to static SR at ratio 2.74)");
-    // Fill the 3x5 profiled matrix up front: under a ParallelRunner the
-    // cells run concurrently; on the serial Runner this is a no-op split.
+    // Fill the 3x5 profiled matrix up front, concurrently on the runner's
+    // pool (inline with one thread).
     runner.prewarm();
     const double base =
         detail::staticSrCost(runner, cloud::AwsStylePricing());
@@ -163,9 +163,9 @@ sensitivitySweep(Runner& runner, const char* knobHeader,
 {
     const cloud::AwsStylePricing pricing;
     const double base = detail::staticSrCost(runner, pricing);
-    // One spec per (strategy x knob) point. runBatch() returns results in
-    // spec order — concurrently under a ParallelRunner, serially otherwise
-    // — and applies the root seed per the Runner seed contract.
+    // One spec per (strategy x knob) point. runBatch() runs them on the
+    // runner's pool, returns results in spec order and applies the root
+    // seed per the Runner seed contract.
     std::vector<RunSpec> specs;
     for (core::StrategyKind s : core::kAllStrategies) {
         for (double knob : knobs) {

@@ -18,10 +18,16 @@ secondsSince(obs::PhaseProfiler::Clock::time_point start)
         .count();
 }
 
-} // namespace
-
+/**
+ * Fold one finished run into the process-wide metrics registry
+ * (obs::ProcessMetrics::instance(), `hcloud_run_*` namespace): the
+ * run-completion counter, per-phase wall-clock from the phase profiler,
+ * and the run's own registry snapshot as labeled families. Safe from
+ * concurrent tasks (the process registry is thread-safe) and invisible to
+ * the simulation, so determinism contracts hold.
+ */
 void
-Runner::publishRunCompleted(const core::RunResult& result)
+publishRunCompleted(const core::RunResult& result)
 {
     obs::ProcessMetrics& pm = obs::ProcessMetrics::instance();
     pm.counter("hcloud_run_completed_total",
@@ -81,8 +87,10 @@ Runner::publishRunCompleted(const core::RunResult& result)
     }
 }
 
+/** Count one memoized matrix cell landing in the cache
+ *  (`hcloud_cell_completed_total`). */
 void
-Runner::publishCellCompleted()
+publishCellCompleted()
 {
     obs::ProcessMetrics::instance()
         .counter("hcloud_cell_completed_total",
@@ -90,8 +98,40 @@ Runner::publishCellCompleted()
         .inc();
 }
 
+/** Sink tag of a memoized matrix cell ("static-HM[-unprofiled]"). */
+std::string
+cellSinkTag(workload::ScenarioKind scenario, core::StrategyKind strategy,
+            bool profiling)
+{
+    std::string tag = workload::toString(scenario);
+    tag += '-';
+    tag += core::toString(strategy);
+    if (!profiling)
+        tag += "-unprofiled";
+    return tag;
+}
+
+/** Derive cfg.trace.sinkPath and cfg.timeline.sinkPath from their
+ *  sinkStems + @p tag (no-op for each empty stem). */
+void
+applySinkTag(core::EngineConfig& cfg, const std::string& tag)
+{
+    // Trace and timeline stems must differ (parseBenchCli refuses equal
+    // output paths), so the per-run part files never collide.
+    if (!cfg.trace.sinkStem.empty())
+        cfg.trace.sinkPath = cfg.trace.sinkStem + "." + tag + ".part";
+    if (!cfg.timeline.sinkStem.empty())
+        cfg.timeline.sinkPath = cfg.timeline.sinkStem + "." + tag + ".part";
+}
+
+} // namespace
+
 Runner::Runner(ExperimentOptions options, core::EngineConfig baseConfig)
-    : options_(options), baseConfig_(baseConfig)
+    : options_(options),
+      baseConfig_(baseConfig),
+      threads_(options.threads > 0 ? options.threads
+                                   : runtime::defaultThreadCount()),
+      pool_(threads_)
 {
     baseConfig_.seed = options.seed;
 }
@@ -106,69 +146,91 @@ Runner::scenarioConfig(workload::ScenarioKind scenario) const
     return cfg;
 }
 
-double
-Runner::traceGenSeconds(workload::ScenarioKind scenario) const
+Runner::TimedTrace
+Runner::timedGenerate(const workload::ScenarioConfig& config)
 {
-    auto it = traceGenSec_.find(scenario);
-    return it == traceGenSec_.end() ? 0.0 : it->second;
+    const auto start = obs::PhaseProfiler::Clock::now();
+    workload::ArrivalTrace trace = workload::generateScenario(config);
+    const double genSec = secondsSince(start);
+    return {std::move(trace), genSec};
+}
+
+const Runner::TimedTrace&
+Runner::sharedTrace(workload::ScenarioKind scenario)
+{
+    // Generation happens under the lock: it is cheap relative to a run,
+    // and map references stay stable across later inserts.
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = traces_.find(scenario);
+    if (it == traces_.end())
+        it = traces_.emplace(scenario, timedGenerate(scenarioConfig(scenario)))
+                 .first;
+    return it->second;
 }
 
 const workload::ArrivalTrace&
 Runner::trace(workload::ScenarioKind scenario)
 {
-    auto it = traces_.find(scenario);
-    if (it == traces_.end()) {
-        const auto start = obs::PhaseProfiler::Clock::now();
-        workload::ArrivalTrace generated =
-            workload::generateScenario(scenarioConfig(scenario));
-        traceGenSec_[scenario] = secondsSince(start);
-        it = traces_.emplace(scenario, std::move(generated)).first;
-    }
-    return it->second;
+    return sharedTrace(scenario).trace;
 }
 
-std::string
-Runner::cellSinkTag(workload::ScenarioKind scenario,
-                    core::StrategyKind strategy, bool profiling)
+core::RunResult
+Runner::executeSpec(const RunSpec& spec, const std::string& sinkTag)
 {
-    std::string tag = workload::toString(scenario);
-    tag += '-';
-    tag += core::toString(strategy);
-    if (!profiling)
-        tag += "-unprofiled";
-    return tag;
+    core::EngineConfig cfg = spec.config;
+    cfg.seed = spec.seedOverride.value_or(options_.seed);
+    applySinkTag(cfg, sinkTag);
+    core::Engine engine(cfg);
+    std::optional<TimedTrace> local;
+    if (spec.scenarioOverride)
+        local = timedGenerate(*spec.scenarioOverride);
+    const TimedTrace& input = local ? *local : sharedTrace(spec.scenario);
+    core::RunResult result = engine.run(
+        input.trace, spec.strategy,
+        spec.label.empty() ? std::string(workload::toString(spec.scenario))
+                           : spec.label);
+    result.telemetry.traceGenSec = input.genSec;
+    result.telemetry.threads = threads_;
+    // Published from the running thread, so a live scrape watches runs
+    // complete one by one.
+    publishRunCompleted(result);
+    return result;
 }
 
 void
-Runner::applySinkTag(core::EngineConfig& cfg, const std::string& tag)
+Runner::recordAdhoc(const core::RunResult& result)
 {
-    // Trace and timeline stems must differ (parseBenchCli refuses equal
-    // output paths), so the per-run part files never collide.
-    if (!cfg.trace.sinkStem.empty())
-        cfg.trace.sinkPath = cfg.trace.sinkStem + "." + tag + ".part";
-    if (!cfg.timeline.sinkStem.empty())
-        cfg.timeline.sinkPath = cfg.timeline.sinkStem + "." + tag + ".part";
+    if (!recordAdhoc_)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    adhoc_.push_back(result);
 }
 
 const core::RunResult&
 Runner::run(workload::ScenarioKind scenario, core::StrategyKind strategy,
             bool profiling)
 {
-    const auto key = std::make_tuple(scenario, strategy, profiling);
-    auto it = results_.find(key);
-    if (it == results_.end()) {
-        core::EngineConfig cfg = baseConfig_;
-        cfg.useProfiling = profiling;
-        applySinkTag(cfg, cellSinkTag(scenario, strategy, profiling));
-        core::Engine engine(cfg);
-        core::RunResult result = engine.run(trace(scenario), strategy,
-                                            workload::toString(scenario));
-        result.telemetry.traceGenSec = traceGenSeconds(scenario);
-        result.telemetry.threads = 1;
-        publishRunCompleted(result);
-        publishCellCompleted();
-        it = results_.emplace(key, std::move(result)).first;
+    const CellKey key{scenario, strategy, profiling};
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = results_.find(key);
+        if (it != results_.end())
+            return it->second;
     }
+    // Computed outside the lock; try_emplace keeps the first of racing
+    // callers' results.
+    RunSpec spec;
+    spec.scenario = scenario;
+    spec.strategy = strategy;
+    spec.config = baseConfig_;
+    spec.config.useProfiling = profiling;
+    core::RunResult result = executeSpec(
+        spec, cellSinkTag(scenario, strategy, profiling) + "." +
+            std::to_string(sinkSeq_++));
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, inserted] = results_.try_emplace(key, std::move(result));
+    if (inserted)
+        publishCellCompleted();
     return it->second;
 }
 
@@ -178,84 +240,51 @@ Runner::runWith(workload::ScenarioKind scenario,
                 const core::EngineConfig& config,
                 const std::string& label)
 {
-    // Root-seed contract: runWith() used to run with whatever seed the
-    // caller left in the config, silently diverging from the memoized
-    // run() path whenever a call site forgot `cfg.seed = options().seed`.
-    core::EngineConfig cfg = config;
-    cfg.seed = options_.seed;
-    applySinkTag(cfg, "a" + std::to_string(nextSinkSeq()));
-    core::Engine engine(cfg);
-    core::RunResult result = engine.run(
-        trace(scenario), strategy,
-        label.empty() ? std::string(workload::toString(scenario)) : label);
-    result.telemetry.traceGenSec = traceGenSeconds(scenario);
-    result.telemetry.threads = 1;
-    publishRunCompleted(result);
-    if (recordAdhoc_)
-        adhoc_.push_back(result);
+    // Root-seed contract: executeSpec() replaces the caller's seed, so a
+    // call site that forgets `cfg.seed = options().seed` cannot diverge
+    // from the memoized run() path.
+    RunSpec spec;
+    spec.scenario = scenario;
+    spec.strategy = strategy;
+    spec.config = config;
+    spec.label = label;
+    core::RunResult result =
+        executeSpec(spec, "a" + std::to_string(sinkSeq_++));
+    recordAdhoc(result);
     return result;
 }
 
 std::vector<core::RunResult>
 Runner::runBatch(const std::vector<RunSpec>& specs)
 {
-    std::vector<core::RunResult> results;
-    results.reserve(specs.size());
-    const std::string batch = "b" + std::to_string(nextSinkSeq()) + "x";
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const RunSpec& spec = specs[i];
-        const workload::ArrivalTrace* shared =
-            spec.scenarioOverride ? nullptr : &trace(spec.scenario);
-        core::RunResult result =
-            executeSpec(spec, shared, batch + std::to_string(i));
-        if (!spec.scenarioOverride)
-            result.telemetry.traceGenSec = traceGenSeconds(spec.scenario);
-        if (recordAdhoc_)
-            adhoc_.push_back(result);
-        results.push_back(std::move(result));
-    }
+    const std::string batch = "b" + std::to_string(sinkSeq_++) + "x";
+    std::vector<core::RunResult> results =
+        runtime::parallelMap(pool_, specs.size(), [&](std::size_t i) {
+            return executeSpec(specs[i], batch + std::to_string(i));
+        });
+    for (const core::RunResult& result : results)
+        recordAdhoc(result);
     return results;
 }
 
 void
 Runner::prewarm(bool includeUnprofiled)
 {
+    std::vector<CellKey> cells;
     for (workload::ScenarioKind scenario : workload::kAllScenarios) {
         for (core::StrategyKind strategy : core::kAllStrategies) {
-            run(scenario, strategy, true);
+            cells.emplace_back(scenario, strategy, true);
             if (includeUnprofiled)
-                run(scenario, strategy, false);
+                cells.emplace_back(scenario, strategy, false);
         }
     }
-}
-
-core::RunResult
-Runner::executeSpec(const RunSpec& spec,
-                    const workload::ArrivalTrace* sharedTrace,
-                    const std::string& sinkTag) const
-{
-    core::EngineConfig cfg = spec.config;
-    cfg.seed = spec.seedOverride.value_or(options_.seed);
-    applySinkTag(cfg, sinkTag);
-    core::Engine engine(cfg);
-    const std::string label = spec.label.empty()
-        ? std::string(workload::toString(spec.scenario))
-        : spec.label;
-    if (spec.scenarioOverride) {
-        const auto start = obs::PhaseProfiler::Clock::now();
-        const workload::ArrivalTrace local =
-            workload::generateScenario(*spec.scenarioOverride);
-        const double gen_sec = secondsSince(start);
-        core::RunResult result = engine.run(local, spec.strategy, label);
-        result.telemetry.traceGenSec = gen_sec;
-        result.telemetry.threads = 1;
-        publishRunCompleted(result);
-        return result;
-    }
-    core::RunResult result = engine.run(*sharedTrace, spec.strategy, label);
-    result.telemetry.threads = 1;
-    publishRunCompleted(result);
-    return result;
+    runtime::parallelFor(
+        pool_, 0, cells.size(),
+        [&](std::size_t i) {
+            const auto& [scenario, strategy, profiling] = cells[i];
+            run(scenario, strategy, profiling);
+        },
+        /*chunk=*/1);
 }
 
 } // namespace hcloud::exp

@@ -15,8 +15,7 @@
  * streams per subsystem via sim::Rng::child(), and per-entity streams
  * keyed by stable ids below that, so neither the order in which cells
  * execute nor the thread they execute on can perturb any draw. This is
- * what makes the parallel runtime (runtime::ParallelRunner) bit-identical
- * to serial execution.
+ * what makes a Runner's results bit-identical at any thread count.
  *
  * ## Streaming record sinks
  *
@@ -28,10 +27,11 @@
  * exp::writeTimelineJsonl merge the per-run files in deterministic
  * result order, which keeps each merged artifact byte-identical across
  * thread counts. The two stems must differ (the bench CLI refuses equal
- * output paths). Tags: matrix cells use
- * "<scenario>-<strategy>[-unprofiled]"; batch/ad-hoc runs use a per-runner
- * sequence number (their identity lives in the merged header lines, not
- * the file name).
+ * output paths). Every tag carries a per-runner sequence number, so even
+ * callers racing on one matrix cell write separate files: matrix cells use
+ * "<scenario>-<strategy>[-unprofiled].<N>", batch/ad-hoc runs "b<N>x<i>" /
+ * "a<N>" (their identity lives in the merged header lines, not the file
+ * name).
  */
 
 #ifndef HCLOUD_EXP_RUNNER_HPP
@@ -40,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -47,6 +48,7 @@
 
 #include "core/engine.hpp"
 #include "core/types.hpp"
+#include "runtime/thread_pool.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcloud::exp {
@@ -59,10 +61,9 @@ struct ExperimentOptions
     /** Root seed. */
     std::uint64_t seed = 42;
     /**
-     * Worker threads for parallel drivers (runtime::ParallelRunner and
-     * the sampling figures). 0 = auto: the HCLOUD_THREADS environment
-     * variable if set, otherwise hardware_concurrency. 1 forces the
-     * serial path. Plain Runner ignores this.
+     * Worker threads for the Runner's pool and the sampling figures.
+     * 0 = auto: the HCLOUD_THREADS environment variable if set, otherwise
+     * hardware_concurrency. 1 forces the serial path.
      */
     std::size_t threads = 0;
 };
@@ -88,22 +89,36 @@ struct RunSpec
 };
 
 /**
- * Memoized run matrix over the three scenarios and five strategies.
+ * Memoized run matrix over the three scenarios and five strategies, run on
+ * a pool of threadCount() workers (options().threads, with 0 resolved by
+ * runtime::defaultThreadCount(); 1 = every cell inline on the caller's
+ * thread).
  *
- * The virtual cell API (trace / run / runWith / runBatch / prewarm) is the
- * extension seam for runtime::ParallelRunner, which executes the same
- * cells concurrently; this base class is strictly serial and not
- * thread-safe.
+ * Thread-safe: trace / run / runWith / runBatch / prewarm may be called
+ * from concurrent caller threads. Determinism contract:
+ *
+ *  - every run builds its own core::Engine from the root-seed derivation
+ *    above, so an engine's draws cannot be perturbed by other threads;
+ *  - shared scenario traces are generated once, under the lock, and only
+ *    read afterwards; per-spec scenario overrides get private traces;
+ *  - runBatch() returns results in submission order
+ *    (runtime::parallelMap), and the memo cache is a sorted map,
+ *
+ * so every figure is bit-identical at any thread count — asserted by
+ * tests/test_runtime_determinism.cpp.
  */
 class Runner
 {
   public:
     explicit Runner(ExperimentOptions options = {},
                     core::EngineConfig baseConfig = {});
-    virtual ~Runner() = default;
 
     const ExperimentOptions& options() const { return options_; }
     const core::EngineConfig& baseConfig() const { return baseConfig_; }
+
+    /** Effective worker count (1 = serial); stamped as
+     *  RunResult::telemetry.threads on every run. */
+    std::size_t threadCount() const { return threads_; }
 
     /** Key of one memoized cell. */
     using CellKey =
@@ -137,13 +152,16 @@ class Runner
         workload::ScenarioKind scenario) const;
 
     /** Generated (and cached) trace of a scenario. */
-    virtual const workload::ArrivalTrace& trace(
-        workload::ScenarioKind scenario);
+    const workload::ArrivalTrace& trace(workload::ScenarioKind scenario);
 
-    /** Run (and cache) one cell of the matrix. */
-    virtual const core::RunResult& run(workload::ScenarioKind scenario,
-                                       core::StrategyKind strategy,
-                                       bool profiling = true);
+    /**
+     * Run (and cache) one cell of the matrix. Callers racing on an
+     * uncached cell each compute the bit-identical result; the first to
+     * finish is kept.
+     */
+    const core::RunResult& run(workload::ScenarioKind scenario,
+                               core::StrategyKind strategy,
+                               bool profiling = true);
 
     /**
      * Run without caching, with a custom engine config. The config's seed
@@ -151,80 +169,65 @@ class Runner
      * above), so sweeps that tweak other knobs stay comparable with the
      * memoized matrix without every caller re-plumbing the seed.
      */
-    virtual core::RunResult runWith(workload::ScenarioKind scenario,
-                                    core::StrategyKind strategy,
-                                    const core::EngineConfig& config,
-                                    const std::string& label = {});
+    core::RunResult runWith(workload::ScenarioKind scenario,
+                            core::StrategyKind strategy,
+                            const core::EngineConfig& config,
+                            const std::string& label = {});
 
     /**
-     * Execute a batch of uncached cells and return their results in spec
-     * order. Serial here; runtime::ParallelRunner executes the specs
-     * concurrently with an identical, submission-ordered result vector.
+     * Execute a batch of uncached cells concurrently and return their
+     * results in spec order.
      */
-    virtual std::vector<core::RunResult> runBatch(
-        const std::vector<RunSpec>& specs);
+    std::vector<core::RunResult> runBatch(const std::vector<RunSpec>& specs);
 
     /**
      * Populate the memoized matrix (all scenarios x strategies, plus the
-     * unprofiled cells when requested). A no-op for cells already cached;
-     * the parallel runner overrides this to fill the cache concurrently.
+     * unprofiled cells when requested) concurrently. A no-op for cells
+     * already cached.
      */
-    virtual void prewarm(bool includeUnprofiled = false);
+    void prewarm(bool includeUnprofiled = false);
 
-  protected:
+  private:
+    /** A shared scenario trace and the wall-clock its generation took
+     *  (telemetry; attributed to every run consuming the trace). */
+    struct TimedTrace
+    {
+        workload::ArrivalTrace trace;
+        double genSec = 0.0;
+    };
+
+    /** Generate a trace, timing the generation. */
+    static TimedTrace timedGenerate(const workload::ScenarioConfig& config);
+
+    /** Generate-and-cache under the lock; returns a stable reference. */
+    const TimedTrace& sharedTrace(workload::ScenarioKind scenario);
+
     /**
-     * Run one spec exactly as the serial paths do: private trace if the
-     * spec overrides the scenario, @p sharedTrace otherwise. Both the
-     * serial and the parallel runBatch() funnel through this so the two
-     * paths cannot diverge. @p sinkTag names the spec's private sink
-     * file when the spec's config carries a sinkStem (see class docs).
+     * The one place a run happens: build the spec's engine (root seed
+     * unless the spec overrides it, private sink files named by
+     * @p sinkTag), run it against its private or shared trace, stamp the
+     * runner telemetry and publish the run's metrics.
      */
     core::RunResult executeSpec(const RunSpec& spec,
-                                const workload::ArrivalTrace* sharedTrace,
-                                const std::string& sinkTag) const;
+                                const std::string& sinkTag);
 
-    /**
-     * Fold one finished run into the process-wide metrics registry
-     * (obs::ProcessMetrics::instance(), `hcloud_run_*` namespace): the
-     * run-completion counter, per-phase wall-clock from the phase
-     * profiler, and the run's own registry snapshot as labeled families.
-     * Called by every execution path, serial and parallel alike; safe
-     * from concurrent tasks (the process registry is thread-safe) and
-     * invisible to the simulation, so determinism contracts hold.
-     */
-    static void publishRunCompleted(const core::RunResult& result);
-
-    /** Count one memoized matrix cell landing in the cache
-     *  (`hcloud_cell_completed_total`). */
-    static void publishCellCompleted();
-
-    /** Sink tag of a memoized matrix cell ("static-HM[-unprofiled]"). */
-    static std::string cellSinkTag(workload::ScenarioKind scenario,
-                                   core::StrategyKind strategy,
-                                   bool profiling);
-
-    /** Derive cfg.trace.sinkPath and cfg.timeline.sinkPath from their
-     *  sinkStems + @p tag (no-op for each empty stem). */
-    static void applySinkTag(core::EngineConfig& cfg,
-                             const std::string& tag);
-
-    /** Process-unique tag for uncached runs ("a<N>", "b<N>x<i>"). */
-    std::uint64_t nextSinkSeq() { return sinkSeq_++; }
-
-    /** Wall-clock spent generating a scenario's shared trace (telemetry;
-     *  attributed to every cell consuming the trace). */
-    double traceGenSeconds(workload::ScenarioKind scenario) const;
+    /** Copy @p result into adhocResults() when recording is on. */
+    void recordAdhoc(const core::RunResult& result);
 
     ExperimentOptions options_;
     core::EngineConfig baseConfig_;
-    std::map<workload::ScenarioKind, workload::ArrivalTrace> traces_;
-    std::map<workload::ScenarioKind, double> traceGenSec_;
-    std::map<CellKey, core::RunResult> results_;
+    std::size_t threads_;
     bool recordAdhoc_ = false;
-    std::vector<core::RunResult> adhoc_;
-    /** Uncached-run sink-file sequence (atomic: runWith() may be called
-     *  from concurrent caller threads under ParallelRunner). */
+    /** Sink-tag sequence (see "Streaming record sinks" above). */
     std::atomic<std::uint64_t> sinkSeq_{0};
+
+    std::mutex mutex_; ///< guards traces_, results_ and adhoc_
+    std::map<workload::ScenarioKind, TimedTrace> traces_;
+    std::map<CellKey, core::RunResult> results_;
+    std::vector<core::RunResult> adhoc_;
+
+    /** Declared last: joined before the state its tasks touch dies. */
+    runtime::ThreadPool pool_;
 };
 
 } // namespace hcloud::exp

@@ -1,75 +1,21 @@
 /**
  * @file
- * ParallelRunner: exp::Runner's run matrix and sweeps on a thread pool.
+ * Former name of exp::Runner, which now owns the thread pool itself.
  *
- * Drop-in replacement for exp::Runner that executes run-matrix cells and
- * runBatch() sweep points concurrently. Determinism contract:
- *
- *  - every task builds its own core::Engine from the same root-seed
- *    derivation the serial Runner uses (see the seed contract in
- *    exp/runner.hpp), so an engine's RNG draws cannot be perturbed by
- *    what other threads do;
- *  - shared scenario traces are generated once, up front, and only read
- *    by tasks; per-spec scenario overrides generate private traces inside
- *    the task;
- *  - results are merged in submission order (runtime::parallelMap), so
- *    iteration order over the memo cache and batch result vectors is
- *    identical to serial execution.
- *
- * Together these make every figure bit-identical to the serial path —
- * asserted by tests/test_runtime_determinism.cpp. The memo cache itself
- * is mutex-guarded, so run()/trace() may also be called from concurrent
- * caller threads.
- *
- * Thread count: ExperimentOptions::threads if non-zero, else the
- * HCLOUD_THREADS environment variable, else hardware_concurrency. A count
- * of 1 bypasses the pool entirely and delegates to the serial base class.
+ * The alias exists only because perfbench includes this header,
+ * constructs runtime::ParallelRunner and links hcloud_runtime; the
+ * benchmark tree is changed on its own, so the alias and the target go
+ * with the next benchmark change. Everything else uses exp::Runner.
  */
 
 #ifndef HCLOUD_RUNTIME_PARALLEL_RUNNER_HPP
 #define HCLOUD_RUNTIME_PARALLEL_RUNNER_HPP
 
-#include <mutex>
-
 #include "exp/runner.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace hcloud::runtime {
 
-/** Parallel, thread-safe drop-in for the serial exp::Runner. */
-class ParallelRunner final : public exp::Runner
-{
-  public:
-    explicit ParallelRunner(exp::ExperimentOptions options = {},
-                            core::EngineConfig baseConfig = {});
-
-    /** Effective worker count (1 = serial delegation). */
-    std::size_t threadCount() const { return threads_; }
-
-    const workload::ArrivalTrace& trace(
-        workload::ScenarioKind scenario) override;
-
-    const core::RunResult& run(workload::ScenarioKind scenario,
-                               core::StrategyKind strategy,
-                               bool profiling = true) override;
-
-    // runWith() is inherited: it only touches trace() (thread-safe here)
-    // and task-local state, so the base implementation is already safe.
-
-    std::vector<core::RunResult> runBatch(
-        const std::vector<exp::RunSpec>& specs) override;
-
-    void prewarm(bool includeUnprofiled = false) override;
-
-  private:
-    /** Generate-and-cache under the lock; returns a stable reference. */
-    const workload::ArrivalTrace& ensureTrace(
-        workload::ScenarioKind scenario);
-
-    std::size_t threads_;
-    ThreadPool pool_;
-    std::mutex mutex_; ///< guards traces_ and results_
-};
+using ParallelRunner = exp::Runner;
 
 } // namespace hcloud::runtime
 

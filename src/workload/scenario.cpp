@@ -293,8 +293,10 @@ generateScenario(const ScenarioConfig& config)
                 filler.kind =
                     drawBatchKind(kind_rng, config.sensitiveFraction);
                 filler.coresIdeal = 1.0;
-                filler.idealDuration = std::clamp(
-                    size_rng.lognormal(std::log(150.0), 0.4), 60.0,
+                // Never outlives the scenario, even when less than the
+                // floor remains (hence no std::clamp, which needs lo <= hi).
+                filler.idealDuration = std::min(
+                    std::max(size_rng.lognormal(std::log(150.0), 0.4), 60.0),
                     config.duration - t);
                 active.push(Active{t + filler.idealDuration, 1.0, true});
                 demand_batch += 1.0;
@@ -353,19 +355,24 @@ generateScenario(const ScenarioConfig& config)
             spec.coresIdeal = std::max(1.0, std::floor(spec.coresIdeal));
             const double median =
                 shape.batchDurationMedian / (burst_job ? 3.0 : 1.0);
-            spec.idealDuration = std::clamp(
-                size_rng.lognormal(std::log(median),
-                                   shape.batchDurationSigma),
-                60.0, remaining);
+            // The job never outlives the scenario, even when less than the
+            // floor remains (hence no std::clamp, which needs lo <= hi).
+            spec.idealDuration = std::min(
+                std::max(size_rng.lognormal(std::log(median),
+                                            shape.batchDurationSigma),
+                         60.0),
+                remaining);
         } else {
             spec.coresIdeal = std::min(drawLcCores(size_rng, deficit),
                                        std::max(deficit, 4.0));
             spec.coresIdeal = std::max(4.0, std::floor(spec.coresIdeal));
             const double median =
                 shape.lcLifetimeMedian / (burst_job ? 2.5 : 1.0);
-            spec.lcLifetime = std::clamp(
-                size_rng.lognormal(std::log(median), shape.lcLifetimeSigma),
-                120.0, remaining);
+            spec.lcLifetime = std::min(
+                std::max(size_rng.lognormal(std::log(median),
+                                            shape.lcLifetimeSigma),
+                         120.0),
+                remaining);
             // Services operate near 50% utilization at the ideal size,
             // leaving the usual tail-latency headroom.
             spec.lcLoadRps = spec.coresIdeal *

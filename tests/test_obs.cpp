@@ -30,7 +30,6 @@
 #include "obs/phase_profiler.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/parallel_runner.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcloud {
@@ -654,13 +653,14 @@ TEST(ObsDeterminism, TraceJsonlByteIdenticalAcrossThreadCounts)
     exp::ExperimentOptions serial_opt;
     serial_opt.loadScale = 0.1;
     serial_opt.seed = 42;
+    serial_opt.threads = 1;
     exp::ExperimentOptions parallel_opt = serial_opt;
     parallel_opt.threads = 4;
     core::EngineConfig base;
     base.trace.mode = obs::TraceConfig::Mode::On;
 
     exp::Runner serial{serial_opt, base};
-    runtime::ParallelRunner parallel{parallel_opt, base};
+    exp::Runner parallel{parallel_opt, base};
 
     const struct
     {
@@ -683,7 +683,7 @@ TEST(ObsDeterminism, TraceJsonlByteIdenticalAcrossThreadCounts)
 }
 
 /**
- * Run the three determinism cells through a sink-backed ParallelRunner
+ * Run the three determinism cells through a sink-backed Runner
  * at @p threads workers, merge the part files, and return the merged
  * bytes. Asserts the tentpole sink contract on every cell: dropped == 0
  * and a complete on-disk stream even though the ring (256) is far below
@@ -703,7 +703,7 @@ mergedSinkTrace(std::size_t threads, std::uint64_t* recordedSum)
         std::to_string(threads) + ".jsonl";
     base.trace.sinkStem = stem;
 
-    runtime::ParallelRunner runner{opt, base};
+    exp::Runner runner{opt, base};
     *recordedSum = 0;
     const struct
     {
@@ -808,7 +808,8 @@ TEST(ObsReports, JsonReportAndTraceJsonlRoundTrip)
         EXPECT_GT(counters->find("jobs")->numberOr(0), 0.0);
         const obs::JsonValue* telemetry = run.find("telemetry");
         ASSERT_NE(telemetry, nullptr);
-        EXPECT_EQ(telemetry->find("threads")->numberOr(0), 1.0);
+        EXPECT_EQ(telemetry->find("threads")->numberOr(0),
+                  static_cast<double>(runner.threadCount()));
         ASSERT_NE(run.find("metrics"), nullptr);
         EXPECT_FALSE(run.find("metrics")->array.empty());
     }
@@ -845,7 +846,8 @@ TEST(ObsReports, AdhocRecordingCapturesUncachedRuns)
                    cfg, "static/retention-10x");
     ASSERT_EQ(runner.adhocResults().size(), 1u);
     EXPECT_EQ(runner.adhocResults()[0].scenario, "static/retention-10x");
-    EXPECT_EQ(runner.adhocResults()[0].telemetry.threads, 1u);
+    EXPECT_EQ(runner.adhocResults()[0].telemetry.threads,
+              runner.threadCount());
 }
 
 } // namespace

@@ -24,7 +24,6 @@
 #include "obs/json.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/parallel_runner.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcloud {
@@ -325,6 +324,7 @@ TEST(TimelineDeterminism, RingTimelineByteIdenticalAcrossThreadCounts)
     exp::ExperimentOptions serial_opt;
     serial_opt.loadScale = 0.1;
     serial_opt.seed = 42;
+    serial_opt.threads = 1;
     exp::ExperimentOptions parallel_opt = serial_opt;
     parallel_opt.threads = 4;
     core::EngineConfig base;
@@ -332,7 +332,7 @@ TEST(TimelineDeterminism, RingTimelineByteIdenticalAcrossThreadCounts)
     base.timeline.cadence = 60.0;
 
     exp::Runner serial{serial_opt, base};
-    runtime::ParallelRunner parallel{parallel_opt, base};
+    exp::Runner parallel{parallel_opt, base};
     const struct
     {
         workload::ScenarioKind scenario;
@@ -372,7 +372,7 @@ mergedSinkTimeline(std::size_t threads, std::uint64_t* recordedSum)
         std::to_string(threads) + ".jsonl";
     base.timeline.sinkStem = stem;
 
-    runtime::ParallelRunner runner{opt, base};
+    exp::Runner runner{opt, base};
     *recordedSum = 0;
     const struct
     {

@@ -1,18 +1,22 @@
 /**
  * @file
  * Determinism of the parallel execution runtime: for the same root seed,
- * runtime::ParallelRunner must produce bit-identical RunResults to the
- * serial exp::Runner — across the full (scenario x strategy x profiling)
- * matrix and across runBatch() sweeps — regardless of thread count.
+ * an exp::Runner on a worker pool must produce bit-identical RunResults
+ * to a one-thread (serial) Runner — across the full (scenario x strategy
+ * x profiling) matrix, runBatch() sweeps and concurrent runWith() calls —
+ * regardless of thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "cloud/pricing.hpp"
 #include "exp/runner.hpp"
-#include "runtime/parallel_runner.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace hcloud {
 namespace {
@@ -94,8 +98,8 @@ smallOptions(std::size_t threads)
 
 TEST(ParallelRunnerDeterminism, FullMatrixBitIdenticalToSerialRunner)
 {
-    exp::Runner serial{smallOptions(0)};
-    runtime::ParallelRunner parallel{smallOptions(4)};
+    exp::Runner serial{smallOptions(1)};
+    exp::Runner parallel{smallOptions(4)};
     parallel.prewarm(/*includeUnprofiled=*/true);
     for (workload::ScenarioKind scenario : workload::kAllScenarios) {
         for (core::StrategyKind strategy : core::kAllStrategies) {
@@ -115,8 +119,8 @@ TEST(ParallelRunnerDeterminism, FullMatrixBitIdenticalToSerialRunner)
 
 TEST(ParallelRunnerDeterminism, RunBatchMatchesSerialOrderAndBits)
 {
-    exp::Runner serial{smallOptions(0)};
-    runtime::ParallelRunner parallel{smallOptions(3)};
+    exp::Runner serial{smallOptions(1)};
+    exp::Runner parallel{smallOptions(3)};
     std::vector<exp::RunSpec> specs;
     for (core::StrategyKind s :
          {core::StrategyKind::SR, core::StrategyKind::HM}) {
@@ -152,8 +156,8 @@ TEST(ParallelRunnerDeterminism, RunBatchMatchesSerialOrderAndBits)
 
 TEST(ParallelRunnerDeterminism, SingleThreadDelegatesToSerialPath)
 {
-    exp::Runner serial{smallOptions(0)};
-    runtime::ParallelRunner one{smallOptions(1)};
+    exp::Runner serial{smallOptions(1)};
+    exp::Runner one{smallOptions(1)};
     EXPECT_EQ(one.threadCount(), 1u);
     expectIdentical(serial.run(workload::ScenarioKind::Static,
                                core::StrategyKind::HM),
@@ -167,7 +171,7 @@ TEST(ParallelRunnerDeterminism, RunWithHonoursRootSeed)
     // The seed-plumbing fix: runWith() must use options().seed even when
     // the caller's config carries a stale seed, matching the cached run()
     // path (which always ran with the root seed).
-    exp::Runner runner{smallOptions(0)};
+    exp::Runner runner{smallOptions(1)};
     core::EngineConfig stale = runner.baseConfig();
     stale.seed = 987654321; // forgotten by a hypothetical call site
     const core::RunResult a = runner.runWith(
@@ -186,7 +190,7 @@ TEST(ParallelRunnerDeterminism, RunWithHonoursRootSeed)
 
 TEST(ParallelRunnerDeterminism, ConcurrentCallersShareTheMemoCache)
 {
-    runtime::ParallelRunner runner{smallOptions(4)};
+    exp::Runner runner{smallOptions(4)};
     runtime::ThreadPool pool(4);
     std::vector<const core::RunResult*> seen(8, nullptr);
     runtime::parallelFor(pool, 0, seen.size(), [&](std::size_t i) {
@@ -195,6 +199,41 @@ TEST(ParallelRunnerDeterminism, ConcurrentCallersShareTheMemoCache)
     });
     for (const core::RunResult* p : seen)
         EXPECT_EQ(p, seen[0]) << "all callers must see one cached cell";
+}
+
+TEST(ParallelRunnerDeterminism, ConcurrentRunWithRecordsEveryAdhocRun)
+{
+    // Concurrent runWith() calls share the trace cache and the ad-hoc
+    // list: every call must be recorded once, bit-identical to a serial
+    // runner's answer (CI runs this under TSan).
+    auto call = [](exp::Runner& r, std::size_t i) {
+        const workload::ScenarioKind scenario =
+            workload::kAllScenarios[i % std::size(workload::kAllScenarios)];
+        const core::StrategyKind strategy =
+            i < 4 ? core::StrategyKind::SR : core::StrategyKind::HM;
+        return r.runWith(scenario, strategy, r.baseConfig(),
+                         "call-" + std::to_string(i));
+    };
+    exp::Runner runner{smallOptions(4)};
+    runner.setRecordAdhoc(true);
+    runtime::ThreadPool callers(4);
+    runtime::parallelFor(
+        callers, 0, 8, [&](std::size_t i) { call(runner, i); },
+        /*chunk=*/1);
+
+    // Completion order is scheduling-dependent; the labels are not.
+    std::vector<core::RunResult> recorded = runner.adhocResults();
+    ASSERT_EQ(recorded.size(), 8u);
+    std::sort(recorded.begin(), recorded.end(),
+              [](const core::RunResult& a, const core::RunResult& b) {
+                  return a.scenario < b.scenario;
+              });
+    exp::Runner serial{smallOptions(1)};
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+        const std::string label = "call-" + std::to_string(i);
+        ASSERT_EQ(recorded[i].scenario, label);
+        expectIdentical(call(serial, i), recorded[i], label.c_str());
+    }
 }
 
 } // namespace

@@ -199,6 +199,24 @@ TEST(Scenario, LcSpecsWellFormed)
     }
 }
 
+TEST(Scenario, EveryJobEndsByTheScenarioEnd)
+{
+    // Durations are floored (60 s batch, 120 s LC) but capped at the time
+    // left, so a job arriving in the last minutes ends with the scenario.
+    for (ScenarioKind kind : kAllScenarios) {
+        ScenarioConfig cfg;
+        cfg.kind = kind;
+        const ArrivalTrace trace = generateScenario(cfg);
+        for (const JobSpec& j : trace.jobs()) {
+            const double length = j.jobClass() == JobClass::Batch
+                ? j.idealDuration
+                : j.lcLifetime;
+            EXPECT_LE(length, cfg.duration - j.arrival)
+                << toString(kind) << " job " << j.id;
+        }
+    }
+}
+
 TEST(Scenario, LoadScaleShrinksDemand)
 {
     ScenarioConfig cfg;
